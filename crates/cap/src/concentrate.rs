@@ -621,8 +621,8 @@ impl<P: CcProfile> Capability for CcCap<P> {
         c
     }
 
-    fn encode(&self) -> Vec<u8> {
-        self.to_bits().to_le_bytes()[..P::CAP_BYTES].to_vec()
+    fn encode_into(&self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_bits().to_le_bytes()[..P::CAP_BYTES]);
     }
 
     fn decode(bytes: &[u8], tag: bool) -> Option<Self> {

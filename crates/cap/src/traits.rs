@@ -208,7 +208,15 @@ pub trait Capability: Clone + PartialEq + Eq + Hash + fmt::Debug {
 
     /// The in-memory representation, excluding the tag, in little-endian
     /// byte order. Exactly [`Capability::CAP_BYTES`] bytes.
-    fn encode(&self) -> Vec<u8>;
+    fn encode(&self) -> Vec<u8> {
+        let mut bytes = vec![0; Self::CAP_BYTES];
+        self.encode_into(&mut bytes);
+        bytes
+    }
+
+    /// [`Capability::encode`] into `out`, which must be exactly
+    /// [`Capability::CAP_BYTES`] long, without allocating.
+    fn encode_into(&self, out: &mut [u8]);
 
     /// Decode an in-memory representation. Returns `None` if `bytes` has the
     /// wrong length; a malformed body decodes to an untagged capability

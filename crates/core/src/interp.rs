@@ -18,7 +18,10 @@ use crate::report::{Outcome, RunResult};
 use crate::tast::*;
 use crate::types::{FloatTy, IntTy, Ty, TypeTable};
 
-/// Runtime value.
+/// Runtime value. Values are plain data: a pointer carries no C type, and
+/// the integer and float widths are scalars, so creating or copying a
+/// value never allocates. The operations that need a type (loads, stores,
+/// casts, pointer arithmetic) take it as an operand (DESIGN.md §10.8).
 #[derive(Clone, Debug)]
 pub enum Value<C> {
     /// No value.
@@ -38,13 +41,8 @@ pub enum Value<C> {
         /// The value.
         v: f64,
     },
-    /// Pointer.
-    Ptr {
-        /// The pointer's C type.
-        ty: Ty,
-        /// The value.
-        v: PtrVal<C>,
-    },
+    /// Pointer: its (provenance, capability) pair (§4.3).
+    Ptr(PtrVal<C>),
 }
 
 impl<C: Capability> Value<C> {
@@ -53,7 +51,7 @@ impl<C: Capability> Value<C> {
             Value::Void => false,
             Value::Int { v, .. } => v.value() != 0,
             Value::Float { v, .. } => *v != 0.0,
-            Value::Ptr { v, .. } => v.addr() != 0,
+            Value::Ptr(v) => v.addr() != 0,
         }
     }
 
@@ -73,7 +71,7 @@ impl<C: Capability> Value<C> {
 
     pub(crate) fn as_ptr(&self) -> Option<&PtrVal<C>> {
         match self {
-            Value::Ptr { v, .. } => Some(v),
+            Value::Ptr(v) => Some(v),
             _ => None,
         }
     }
@@ -81,7 +79,7 @@ impl<C: Capability> Value<C> {
     /// The capability carried by this value, if any.
     fn cap(&self) -> Option<&C> {
         match self {
-            Value::Ptr { v, .. } => Some(&v.cap),
+            Value::Ptr(v) => Some(&v.cap),
             Value::Int { v, .. } => v.as_cap(),
             Value::Float { .. } | Value::Void => None,
         }
@@ -137,16 +135,25 @@ pub enum Engine {
     /// The original recursive AST walker — kept as the differential
     /// oracle for the bytecode engine (see DESIGN.md §10).
     Tree,
-    /// The flat bytecode VM over the lowered IR (default; ~an order of
-    /// magnitude faster on dispatch-bound programs).
+    /// The flat bytecode VM over the lowered IR (default). Measured with
+    /// the `perf` benchmark (`crates/bench/src/bin/perf/README.md`), it is
+    /// 1.2–1.4× faster than the tree walker on loops and progen programs,
+    /// and slower on the short Table-1 runs, where lowering and frame
+    /// set-up are not amortised.
     #[default]
     Bytecode,
 }
 
-struct Frame<C: Capability> {
-    vars: HashMap<String, (PtrVal<C>, Ty)>,
+/// A tree-engine call frame: each local's object and its declared type,
+/// borrowed from the typed program.
+struct Frame<'p, C: Capability> {
+    vars: HashMap<String, (PtrVal<C>, &'p Ty)>,
     to_kill: Vec<PtrVal<C>>,
 }
+
+/// The declared type of the predefined `stdout`/`stderr` handles, which
+/// have no declaration in the program to borrow it from.
+static STREAM_TY: std::sync::LazyLock<Ty> = std::sync::LazyLock::new(|| Ty::ptr(Ty::Void));
 
 /// The interpreter.
 pub struct Interp<'p, C: Capability> {
@@ -154,7 +161,7 @@ pub struct Interp<'p, C: Capability> {
     pub(crate) profile: &'p Profile,
     /// The memory object model instance (exposed for statistics).
     pub mem: CheriMemory<C>,
-    pub(crate) globals: HashMap<String, (PtrVal<C>, Ty)>,
+    pub(crate) globals: HashMap<String, (PtrVal<C>, &'p Ty)>,
     pub(crate) func_ptrs: HashMap<String, PtrVal<C>>,
     pub(crate) addr_to_func: HashMap<u64, String>,
     strings: HashMap<String, PtrVal<C>>,
@@ -166,6 +173,9 @@ pub struct Interp<'p, C: Capability> {
     unspecified_reads: u32,
     engine: Engine,
     ir_cache: Option<std::sync::Arc<crate::ir::IrProgram>>,
+    /// The bytes of the C strings a builtin is reading, reused across
+    /// calls (see [`Interp::read_c_string`]).
+    cstr: Vec<u8>,
 }
 
 fn types_size(tt: &TypeTable, ty: &Ty) -> u64 {
@@ -192,6 +202,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             unspecified_reads: 0,
             engine: Engine::default(),
             ir_cache: None,
+            cstr: Vec::new(),
         }
     }
 
@@ -337,7 +348,8 @@ impl<'p, C: Capability> Interp<'p, C> {
         self.setup_world()?;
         match self.engine {
             Engine::Tree => {
-                let main = &self.prog.funcs["main"];
+                let prog = self.prog;
+                let main = &prog.funcs["main"];
                 let v = self.call_function(main, Vec::new())?;
                 Ok(exit_code(&v))
             }
@@ -360,10 +372,11 @@ impl<'p, C: Capability> Interp<'p, C> {
     /// verbatim by both engines, so allocation order — and therefore
     /// every address and provenance identity — is engine-independent.
     fn setup_world(&mut self) -> EResult<()> {
+        let prog = self.prog;
         // Function allocations: every defined function gets a 1-byte
         // allocation so function pointers have provenance, bounds and an
         // EXECUTE-permission sentry capability.
-        let mut names: Vec<&String> = self.prog.funcs.keys().collect();
+        let mut names: Vec<&String> = prog.funcs.keys().collect();
         names.sort();
         for name in names {
             let p = self
@@ -374,13 +387,13 @@ impl<'p, C: Capability> Interp<'p, C> {
             self.func_ptrs.insert(name.clone(), sentry);
         }
         // Globals, in declaration order.
-        for g in &self.prog.globals {
-            let size = types_size(&self.prog.types, &g.ty);
-            let align = self.prog.types.align_of(&g.ty);
+        for g in &prog.globals {
+            let size = types_size(&prog.types, &g.ty);
+            let align = prog.types.align_of(&g.ty);
             let p = self
                 .mem
                 .allocate_kind(&g.name, size, align, AllocKind::Static, false, None)?;
-            self.globals.insert(g.name.clone(), (p, g.ty.clone()));
+            self.globals.insert(g.name.clone(), (p, &g.ty));
         }
         // Predefined stream handles.
         for stream in ["stderr", "stdout"] {
@@ -393,8 +406,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                     false,
                     Some(&[0; 16]),
                 )?;
-                self.globals
-                    .insert(stream.to_string(), (p, Ty::ptr(Ty::Void)));
+                self.globals.insert(stream.to_string(), (p, &*STREAM_TY));
             }
         }
         // Run global initialisers (in a pseudo-frame).
@@ -402,14 +414,14 @@ impl<'p, C: Capability> Interp<'p, C> {
             vars: HashMap::new(),
             to_kill: Vec::new(),
         };
-        for g in &self.prog.globals {
+        for g in &prog.globals {
             // Zero-initialise statics first (C semantics for objects with
             // static storage duration).
             let (p, ty) = self.globals[&g.name].clone();
-            let size = types_size(&self.prog.types, &ty);
+            let size = types_size(&prog.types, ty);
             self.mem.memset(&p, 0, size)?;
             if let Some(init) = &g.init {
-                self.run_init(&mut frame, &p, &ty, init)?;
+                self.run_init(&mut frame, &p, ty, init)?;
             }
             if g.is_const {
                 let frozen = self.mem.freeze_readonly(&p)?;
@@ -514,13 +526,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 };
                 Ok(Value::Float { fty: *fty, v })
             }
-            Ty::Ptr { .. } => {
-                let v = self.mem.load_ptr(p)?;
-                Ok(Value::Ptr {
-                    ty: ty.clone(),
-                    v,
-                })
-            }
+            Ty::Ptr { .. } => Ok(Value::Ptr(self.mem.load_ptr(p)?)),
             t => Err(Stop::Unsupported(format!("load of type {t}"))),
         }
     }
@@ -550,7 +556,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 self.mem.store_int(p, size, &IntVal::Num(i128::from(bits)))?;
                 Ok(())
             }
-            (Ty::Ptr { .. }, Value::Ptr { v, .. }) => {
+            (Ty::Ptr { .. }, Value::Ptr(v)) => {
                 self.mem.store_ptr(p, v)?;
                 Ok(())
             }
@@ -570,7 +576,7 @@ impl<'p, C: Capability> Interp<'p, C> {
     /// (or decaying) a struct member or array element narrows the
     /// capability to that sub-object's footprint. The paper's default (and
     /// ours) leaves this off to keep the container-of idiom working.
-    fn maybe_narrow_subobject(&self, p: PtrVal<C>, lv: &TExpr, _res_ty: &Ty) -> PtrVal<C> {
+    fn maybe_narrow_subobject(&self, p: PtrVal<C>, lv: &TExpr) -> PtrVal<C> {
         if !self.profile.subobject_bounds || !self.profile.mem.capabilities {
             return p;
         }
@@ -603,27 +609,27 @@ impl<'p, C: Capability> Interp<'p, C> {
 
     fn run_init(
         &mut self,
-        frame: &mut Frame<C>,
+        frame: &mut Frame<'p, C>,
         p: &PtrVal<C>,
-        ty: &Ty,
-        init: &TInit,
+        ty: &'p Ty,
+        init: &'p TInit,
     ) -> EResult<()> {
+        let prog = self.prog;
         match (ty, init) {
             (_, TInit::Scalar(e)) => {
                 let v = self.eval(frame, e)?;
                 self.store_value(p, ty, &v)
             }
             (Ty::Array(elem, _), TInit::Str(s)) => {
-                let mut bytes = s.as_bytes().to_vec();
-                bytes.push(0);
-                for (i, b) in bytes.iter().enumerate() {
-                    let ep = self.mem.member_shift(p, i as u64 * types_size(&self.prog.types, elem));
-                    self.mem.store_int(&ep, 1, &IntVal::Num(i128::from(*b)))?;
+                let esz = types_size(&prog.types, elem);
+                for (i, b) in s.bytes().chain(std::iter::once(0)).enumerate() {
+                    let ep = self.mem.member_shift(p, i as u64 * esz);
+                    self.mem.store_int(&ep, 1, &IntVal::Num(i128::from(b)))?;
                 }
                 Ok(())
             }
             (Ty::Array(elem, _), TInit::List(items)) => {
-                let esz = types_size(&self.prog.types, elem);
+                let esz = types_size(&prog.types, elem);
                 for (i, item) in items.iter().enumerate() {
                     let ep = self.mem.member_shift(p, i as u64 * esz);
                     self.run_init(frame, &ep, elem, item)?;
@@ -631,14 +637,9 @@ impl<'p, C: Capability> Interp<'p, C> {
                 Ok(())
             }
             (Ty::Struct(id) | Ty::Union(id), TInit::List(items)) => {
-                let fields: Vec<(u64, Ty)> = self.prog.types.structs[id.0]
-                    .fields
-                    .iter()
-                    .map(|f| (f.offset, f.ty.clone()))
-                    .collect();
-                for (item, (off, fty)) in items.iter().zip(fields.iter()) {
-                    let fp = self.mem.member_shift(p, *off);
-                    self.run_init(frame, &fp, fty, item)?;
+                for (item, f) in items.iter().zip(&prog.types.structs[id.0].fields) {
+                    let fp = self.mem.member_shift(p, f.offset);
+                    self.run_init(frame, &fp, &f.ty, item)?;
                 }
                 Ok(())
             }
@@ -648,7 +649,7 @@ impl<'p, C: Capability> Interp<'p, C> {
 
     // ── Statements ───────────────────────────────────────────────────────
 
-    fn exec_block(&mut self, frame: &mut Frame<C>, stmts: &[TStmt]) -> EResult<Flow<C>> {
+    fn exec_block(&mut self, frame: &mut Frame<'p, C>, stmts: &'p [TStmt]) -> EResult<Flow<C>> {
         for s in stmts {
             match self.exec(frame, s)? {
                 Flow::Normal => {}
@@ -658,7 +659,7 @@ impl<'p, C: Capability> Interp<'p, C> {
         Ok(Flow::Normal)
     }
 
-    fn exec(&mut self, frame: &mut Frame<C>, s: &TStmt) -> EResult<Flow<C>> {
+    fn exec(&mut self, frame: &mut Frame<'p, C>, s: &'p TStmt) -> EResult<Flow<C>> {
         self.tick()?;
         match s {
             TStmt::Decl {
@@ -686,7 +687,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 } else {
                     p
                 };
-                frame.vars.insert(name.clone(), (p, ty.clone()));
+                frame.vars.insert(name.clone(), (p, ty));
                 Ok(Flow::Normal)
             }
             TStmt::Expr(e) => {
@@ -804,39 +805,39 @@ impl<'p, C: Capability> Interp<'p, C> {
 
     // ── Expressions ──────────────────────────────────────────────────────
 
-    fn eval_lvalue(&mut self, frame: &mut Frame<C>, e: &TExpr) -> EResult<(PtrVal<C>, Ty)> {
+    /// Evaluate an lvalue to its object and the type to access it at,
+    /// borrowed from the typed program.
+    fn eval_lvalue(
+        &mut self,
+        frame: &mut Frame<'p, C>,
+        e: &'p TExpr,
+    ) -> EResult<(PtrVal<C>, &'p Ty)> {
         match &e.kind {
             TExprKind::LvVar(name) => {
-                if let Some((p, ty)) = frame.vars.get(name) {
-                    return Ok((p.clone(), ty.clone()));
+                if let Some(&(ref p, ty)) = frame.vars.get(name) {
+                    return Ok((p.clone(), ty));
                 }
-                if let Some((p, ty)) = self.globals.get(name) {
-                    return Ok((p.clone(), ty.clone()));
+                if let Some(&(ref p, ty)) = self.globals.get(name) {
+                    return Ok((p.clone(), ty));
                 }
                 Err(Stop::Unsupported(format!("unbound variable `{name}`")))
             }
-            TExprKind::LvDeref(p) => {
-                let v = self.eval(frame, p)?;
-                match v {
-                    Value::Ptr { v, .. } => Ok((v, e.ty.clone())),
-                    Value::Int { v, .. } => {
-                        let p = self.mem.cast_int_to_ptr(&v);
-                        Ok((p, e.ty.clone()))
-                    }
-                    Value::Float { .. } | Value::Void => {
-                        Err(Stop::Unsupported("deref of non-pointer".into()))
-                    }
+            TExprKind::LvDeref(p) => match self.eval(frame, p)? {
+                Value::Ptr(v) => Ok((v, &e.ty)),
+                Value::Int { v, .. } => Ok((self.mem.cast_int_to_ptr(&v), &e.ty)),
+                Value::Float { .. } | Value::Void => {
+                    Err(Stop::Unsupported("deref of non-pointer".into()))
                 }
-            }
+            },
             TExprKind::LvMember(base, off) => {
                 let (p, _) = self.eval_lvalue(frame, base)?;
-                Ok((self.mem.member_shift(&p, *off), e.ty.clone()))
+                Ok((self.mem.member_shift(&p, *off), &e.ty))
             }
             _ => Err(Stop::Unsupported("expected lvalue".into())),
         }
     }
 
-    fn eval(&mut self, frame: &mut Frame<C>, e: &TExpr) -> EResult<Value<C>> {
+    fn eval(&mut self, frame: &mut Frame<'p, C>, e: &'p TExpr) -> EResult<Value<C>> {
         self.tick()?;
         match &e.kind {
             TExprKind::ConstInt(v) => {
@@ -850,41 +851,20 @@ impl<'p, C: Capability> Interp<'p, C> {
                 fty: e.ty.as_float().unwrap_or(FloatTy::F64),
                 v: *v,
             }),
-            TExprKind::StrLit(s) => {
-                let p = self.intern_string(s)?;
-                Ok(Value::Ptr {
-                    ty: e.ty.clone(),
-                    v: p,
-                })
-            }
+            TExprKind::StrLit(s) => Ok(Value::Ptr(self.intern_string(s)?)),
             TExprKind::LvVar(_) | TExprKind::LvDeref(_) | TExprKind::LvMember(..) => {
                 // Bare lvalue in value position should not occur (typeck
                 // inserts Load), but evaluate to its address for robustness.
                 let (p, _) = self.eval_lvalue(frame, e)?;
-                Ok(Value::Ptr {
-                    ty: Ty::ptr(e.ty.clone()),
-                    v: p,
-                })
+                Ok(Value::Ptr(p))
             }
             TExprKind::Load(lv) => {
                 let (p, ty) = self.eval_lvalue(frame, lv)?;
-                self.load_value(&p, &ty)
+                self.load_value(&p, ty)
             }
-            TExprKind::AddrOf(lv) => {
+            TExprKind::AddrOf(lv) | TExprKind::Decay(lv) => {
                 let (p, _) = self.eval_lvalue(frame, lv)?;
-                let p = self.maybe_narrow_subobject(p, lv, &e.ty);
-                Ok(Value::Ptr {
-                    ty: e.ty.clone(),
-                    v: p,
-                })
-            }
-            TExprKind::Decay(lv) => {
-                let (p, _) = self.eval_lvalue(frame, lv)?;
-                let p = self.maybe_narrow_subobject(p, lv, &e.ty);
-                Ok(Value::Ptr {
-                    ty: e.ty.clone(),
-                    v: p,
-                })
+                Ok(Value::Ptr(self.maybe_narrow_subobject(p, lv)))
             }
             TExprKind::FuncAddr(name) => {
                 let p = self
@@ -892,10 +872,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                     .get(name)
                     .cloned()
                     .ok_or_else(|| Stop::Unsupported(format!("unknown function `{name}`")))?;
-                Ok(Value::Ptr {
-                    ty: e.ty.clone(),
-                    v: p,
-                })
+                Ok(Value::Ptr(p))
             }
             TExprKind::Binary {
                 op,
@@ -941,11 +918,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 if *neg {
                     i = -i;
                 }
-                let q = self.mem.array_shift(p, *elem, i as i64)?;
-                Ok(Value::Ptr {
-                    ty: e.ty.clone(),
-                    v: q,
-                })
+                Ok(Value::Ptr(self.mem.array_shift(p, *elem, i as i64)?))
             }
             TExprKind::PtrDiff { a, b, elem } => {
                 let av = self.eval(frame, a)?;
@@ -994,14 +967,14 @@ impl<'p, C: Capability> Interp<'p, C> {
                     // capabilities like memcpy).
                     if let TExprKind::Load(src_lv) = &rhs.kind {
                         let (src, _) = self.eval_lvalue(frame, src_lv)?;
-                        let n = types_size(&self.prog.types, &ty);
+                        let n = types_size(&self.prog.types, ty);
                         self.mem.memcpy(&p, &src, n)?;
                         return Ok(Value::Void);
                     }
                     return Err(Stop::Unsupported("aggregate assignment".into()));
                 }
                 let v = self.eval(frame, rhs)?;
-                self.store_value(&p, &ty, &v)?;
+                self.store_value(&p, ty, &v)?;
                 Ok(v)
             }
             TExprKind::AssignOp {
@@ -1013,7 +986,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             } => {
                 let (p, ty) = self.eval_lvalue(frame, lv)?;
                 if let Some(common_f) = common.as_float() {
-                    let cur = self.load_value(&p, &ty)?;
+                    let cur = self.load_value(&p, ty)?;
                     let cur_f = match &cur {
                         Value::Float { v, .. } => *v,
                         Value::Int { v, .. } => v.value() as f64,
@@ -1027,7 +1000,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                         common,
                     )?;
                     let res_f = res.as_float().expect("float result");
-                    let out = match &ty {
+                    let out = match ty {
                         Ty::Float(fty) => Value::Float {
                             fty: *fty,
                             v: if *fty == FloatTy::F32 {
@@ -1047,14 +1020,14 @@ impl<'p, C: Capability> Interp<'p, C> {
                         }
                         t => return Err(Stop::Unsupported(format!("compound target {t}"))),
                     };
-                    self.store_value(&p, &ty, &out)?;
+                    self.store_value(&p, ty, &out)?;
                     return Ok(out);
                 }
                 let lt = ty.as_int().ok_or_else(|| {
                     Stop::Unsupported("compound assignment on non-integer".into())
                 })?;
                 let ct = common.as_int().expect("common type is integer");
-                let cur = match self.load_value(&p, &ty)? {
+                let cur = match self.load_value(&p, ty)? {
                     Value::Int { v, .. } => v,
                     _ => return Err(Stop::Unsupported("compound assignment load".into())),
                 };
@@ -1076,13 +1049,13 @@ impl<'p, C: Capability> Interp<'p, C> {
                     _ => return Err(Stop::Unsupported("compound assignment result".into())),
                 };
                 let out = Value::Int { ity: lt, v: res_v };
-                self.store_value(&p, &ty, &out)?;
+                self.store_value(&p, ty, &out)?;
                 Ok(out)
             }
             TExprKind::PtrAssignAdd { lv, idx, elem, neg } => {
                 let (p, ty) = self.eval_lvalue(frame, lv)?;
-                let cur = match self.load_value(&p, &ty)? {
-                    Value::Ptr { v, .. } => v,
+                let cur = match self.load_value(&p, ty)? {
+                    Value::Ptr(v) => v,
                     _ => return Err(Stop::Unsupported("pointer compound assignment".into())),
                 };
                 let iv = self.eval(frame, idx)?;
@@ -1090,12 +1063,8 @@ impl<'p, C: Capability> Interp<'p, C> {
                 if *neg {
                     i = -i;
                 }
-                let q = self.mem.array_shift(&cur, *elem, i as i64)?;
-                let out = Value::Ptr {
-                    ty: ty.clone(),
-                    v: q,
-                };
-                self.store_value(&p, &ty, &out)?;
+                let out = Value::Ptr(self.mem.array_shift(&cur, *elem, i as i64)?);
+                self.store_value(&p, ty, &out)?;
                 Ok(out)
             }
             TExprKind::IncDec {
@@ -1105,14 +1074,10 @@ impl<'p, C: Capability> Interp<'p, C> {
                 elem,
             } => {
                 let (p, ty) = self.eval_lvalue(frame, lv)?;
-                let old = self.load_value(&p, &ty)?;
+                let old = self.load_value(&p, ty)?;
                 let new = match (&old, *elem) {
-                    (Value::Ptr { ty: pty, v }, elem) if elem > 0 => {
-                        let q = self.mem.array_shift(v, elem, if *inc { 1 } else { -1 })?;
-                        Value::Ptr {
-                            ty: pty.clone(),
-                            v: q,
-                        }
+                    (Value::Ptr(v), elem) if elem > 0 => {
+                        Value::Ptr(self.mem.array_shift(v, elem, if *inc { 1 } else { -1 })?)
                     }
                     (Value::Int { ity, v }, _) => {
                         let delta = if *inc { 1 } else { -1 };
@@ -1129,7 +1094,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                     }
                     _ => return Err(Stop::Unsupported("increment target".into())),
                 };
-                self.store_value(&p, &ty, &new)?;
+                self.store_value(&p, ty, &new)?;
                 Ok(if *prefix { new } else { old })
             }
             TExprKind::Call { callee, args } => self.eval_call(frame, callee, args),
@@ -1149,10 +1114,10 @@ impl<'p, C: Capability> Interp<'p, C> {
 
     fn eval_cast(
         &mut self,
-        frame: &mut Frame<C>,
-        e: &TExpr,
+        frame: &mut Frame<'p, C>,
+        e: &'p TExpr,
         kind: CastKind,
-        arg: &TExpr,
+        arg: &'p TExpr,
     ) -> EResult<Value<C>> {
         let av = self.eval(frame, arg)?;
         match kind {
@@ -1190,11 +1155,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                     .as_int()
                     .cloned()
                     .ok_or_else(|| Stop::Unsupported("int-to-pointer operand".into()))?;
-                let p = self.mem.cast_int_to_ptr(&v);
-                Ok(Value::Ptr {
-                    ty: e.ty.clone(),
-                    v: p,
-                })
+                Ok(Value::Ptr(self.mem.cast_int_to_ptr(&v)))
             }
             CastKind::IntToFloat => {
                 let fty = e.ty.as_float().expect("float target");
@@ -1231,15 +1192,12 @@ impl<'p, C: Capability> Interp<'p, C> {
                 Ok(Value::Float { fty, v })
             }
             CastKind::PtrToPtr => {
-                let p = av
-                    .as_ptr()
-                    .cloned()
-                    .ok_or_else(|| Stop::Unsupported("pointer cast operand".into()))?;
-                // §3.9: const-changing casts are no-ops on the capability.
-                Ok(Value::Ptr {
-                    ty: e.ty.clone(),
-                    v: p,
-                })
+                // §3.9: pointer-to-pointer (and const-changing) casts are
+                // no-ops on the value.
+                if av.as_ptr().is_none() {
+                    return Err(Stop::Unsupported("pointer cast operand".into()));
+                }
+                Ok(av)
             }
         }
     }
@@ -1412,18 +1370,18 @@ impl<'p, C: Capability> Interp<'p, C> {
 
     fn eval_call(
         &mut self,
-        frame: &mut Frame<C>,
-        callee: &Callee,
-        args: &[TExpr],
+        frame: &mut Frame<'p, C>,
+        callee: &'p Callee,
+        args: &'p [TExpr],
     ) -> EResult<Value<C>> {
+        let prog = self.prog;
         let mut argv = Vec::with_capacity(args.len());
         for a in args {
-            argv.push((self.eval(frame, a)?, a.ty.clone()));
+            argv.push(self.eval(frame, a)?);
         }
         match callee {
             Callee::Direct(name) => {
-                let f = self
-                    .prog
+                let f = prog
                     .funcs
                     .get(name)
                     .ok_or_else(|| Stop::Unsupported(format!("call of undefined `{name}`")))?;
@@ -1453,22 +1411,17 @@ impl<'p, C: Capability> Interp<'p, C> {
                     .get(&p.addr())
                     .cloned()
                     .ok_or_else(|| Stop::Unsupported("indirect call to non-function".into()))?;
-                let f = self
-                    .prog
+                let f = prog
                     .funcs
                     .get(&name)
                     .ok_or_else(|| Stop::Unsupported(format!("call of undefined `{name}`")))?;
                 self.call_function(f, argv)
             }
-            Callee::Builtin(b) => self.eval_builtin(*b, argv),
+            Callee::Builtin(b) => self.eval_builtin(*b, &argv),
         }
     }
 
-    fn call_function(
-        &mut self,
-        f: &TFunc,
-        args: Vec<(Value<C>, Ty)>,
-    ) -> EResult<Value<C>> {
+    fn call_function(&mut self, f: &'p TFunc, args: Vec<Value<C>>) -> EResult<Value<C>> {
         self.call_depth += 1;
         if self.call_depth > 256 {
             self.call_depth -= 1;
@@ -1478,14 +1431,14 @@ impl<'p, C: Capability> Interp<'p, C> {
             vars: HashMap::new(),
             to_kill: Vec::new(),
         };
-        for ((name, ty), (v, _)) in f.params.iter().zip(args) {
+        for ((name, ty), v) in f.params.iter().zip(args) {
             let size = types_size(&self.prog.types, ty);
             let align = self.prog.types.align_of(ty);
             let pretty = name.split('#').next().unwrap_or(name);
             let p = self.mem.allocate_object(pretty, size, align, false, None)?;
             self.store_value(&p, ty, &v)?;
             frame.to_kill.push(p.clone());
-            frame.vars.insert(name.clone(), (p, ty.clone()));
+            frame.vars.insert(name.clone(), (p, ty));
         }
         let flow = self.exec_block(&mut frame, &f.body);
         // End the lifetime of the locals regardless of how the body exited.
@@ -1505,12 +1458,9 @@ impl<'p, C: Capability> Interp<'p, C> {
 
     // ── Builtins and intrinsics ──────────────────────────────────────────
 
+    /// Evaluate a builtin or CHERI intrinsic on its argument values.
     #[allow(clippy::too_many_lines)]
-    pub(crate) fn eval_builtin(
-        &mut self,
-        b: Builtin,
-        mut args: Vec<(Value<C>, Ty)>,
-    ) -> EResult<Value<C>> {
+    pub(crate) fn eval_builtin(&mut self, b: Builtin, args: &[Value<C>]) -> EResult<Value<C>> {
         use Builtin::*;
         let int_result = |ity: IntTy, v: i128| -> EResult<Value<C>> {
             Ok(Value::Int {
@@ -1524,14 +1474,11 @@ impl<'p, C: Capability> Interp<'p, C> {
                 .cloned()
                 .ok_or_else(|| Stop::Unsupported("capability argument expected".into()))
         };
-        // Rewrap a derived capability at the argument's type (the
+        // Rewrap a derived capability as the argument's kind of value (the
         // polymorphic return of §4.5).
-        let rewrap = |this: &mut Self, orig: &Value<C>, cap: C| -> Value<C> {
+        let rewrap = |orig: &Value<C>, cap: C| -> Value<C> {
             match orig {
-                Value::Ptr { ty, v } => Value::Ptr {
-                    ty: ty.clone(),
-                    v: PtrVal::new(v.prov, cap),
-                },
+                Value::Ptr(v) => Value::Ptr(PtrVal::new(v.prov, cap)),
                 Value::Int { ity, v } => Value::Int {
                     ity: *ity,
                     v: IntVal::Cap {
@@ -1540,10 +1487,13 @@ impl<'p, C: Capability> Interp<'p, C> {
                         prov: v.prov(),
                     },
                 },
-                Value::Float { .. } | Value::Void => {
-                    let _ = this;
-                    Value::Void
-                }
+                Value::Float { .. } | Value::Void => Value::Void,
+            }
+        };
+        let ptr_pair = |what: &str| -> EResult<(&PtrVal<C>, &PtrVal<C>)> {
+            match (args[0].as_ptr(), args[1].as_ptr()) {
+                (Some(a), Some(b)) => Ok((a, b)),
+                _ => Err(Stop::Unsupported(format!("{what} operands"))),
             }
         };
         match b {
@@ -1551,10 +1501,10 @@ impl<'p, C: Capability> Interp<'p, C> {
                 let skip = usize::from(b == Fprintf);
                 let fmt_ptr = args
                     .get(skip)
-                    .and_then(|(v, _)| v.as_ptr())
-                    .cloned()
+                    .and_then(Value::as_ptr)
                     .ok_or_else(|| Stop::Unsupported("format string expected".into()))?;
-                let fmt = self.read_c_string(&fmt_ptr)?;
+                self.read_c_string(fmt_ptr)?;
+                let fmt = String::from_utf8_lossy(&self.cstr).into_owned();
                 let rendered = self.format(&fmt, &args[skip + 1..])?;
                 if b == Fprintf {
                     self.stderr.push_str(&rendered);
@@ -1564,8 +1514,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 int_result(IntTy::Int, rendered.len() as i128)
             }
             Assert => {
-                let (v, _) = &args[0];
-                if v.truthy() {
+                if args[0].truthy() {
                     Ok(Value::Void)
                 } else {
                     Err(Stop::Assert("assertion failed".into()))
@@ -1573,137 +1522,92 @@ impl<'p, C: Capability> Interp<'p, C> {
             }
             Abort => Err(Stop::Abort),
             Exit => {
-                let code = args[0].0.as_int().map(IntVal::value).unwrap_or(0);
+                let code = args[0].as_int().map(IntVal::value).unwrap_or(0);
                 Err(Stop::Exit(code as i64))
             }
             Malloc => {
-                let n = args[0].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
-                let p = self.mem.allocate_region(n, 16)?;
-                Ok(Value::Ptr {
-                    ty: Ty::ptr(Ty::Void),
-                    v: p,
-                })
+                let n = args[0].as_int().map(IntVal::value).unwrap_or(0) as u64;
+                Ok(Value::Ptr(self.mem.allocate_region(n, 16)?))
             }
             Calloc => {
-                let n = args[0].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
-                let sz = args[1].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
+                let n = args[0].as_int().map(IntVal::value).unwrap_or(0) as u64;
+                let sz = args[1].as_int().map(IntVal::value).unwrap_or(0) as u64;
                 let total = n.checked_mul(sz).ok_or_else(|| {
                     Stop::Mem(MemError::Fail("calloc size overflow".into()))
                 })?;
                 let p = self.mem.allocate_region(total, 16)?;
                 self.mem.memset(&p, 0, total)?;
-                Ok(Value::Ptr {
-                    ty: Ty::ptr(Ty::Void),
-                    v: p,
-                })
+                Ok(Value::Ptr(p))
             }
             Free => {
                 let p = args[0]
-                    .0
                     .as_ptr()
-                    .cloned()
                     .ok_or_else(|| Stop::Unsupported("free of non-pointer".into()))?;
-                self.mem.kill(&p, true)?;
+                self.mem.kill(p, true)?;
                 Ok(Value::Void)
             }
             Realloc => {
                 let p = args[0]
-                    .0
                     .as_ptr()
-                    .cloned()
                     .ok_or_else(|| Stop::Unsupported("realloc of non-pointer".into()))?;
-                let n = args[1].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
-                let q = self.mem.reallocate(&p, n)?;
-                Ok(Value::Ptr {
-                    ty: Ty::ptr(Ty::Void),
-                    v: q,
-                })
+                let n = args[1].as_int().map(IntVal::value).unwrap_or(0) as u64;
+                Ok(Value::Ptr(self.mem.reallocate(p, n)?))
             }
             Memcpy | Memmove => {
-                let d = args[0].0.as_ptr().cloned();
-                let s = args[1].0.as_ptr().cloned();
-                let n = args[2].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
-                let (d, s) = match (d, s) {
-                    (Some(d), Some(s)) => (d, s),
-                    _ => return Err(Stop::Unsupported("memcpy operands".into())),
-                };
-                self.mem.memcpy(&d, &s, n)?;
-                Ok(Value::Ptr {
-                    ty: Ty::ptr(Ty::Void),
-                    v: d,
-                })
+                let n = args[2].as_int().map(IntVal::value).unwrap_or(0) as u64;
+                let (d, s) = ptr_pair("memcpy")?;
+                self.mem.memcpy(d, s, n)?;
+                Ok(Value::Ptr(d.clone()))
             }
             Memset => {
                 let d = args[0]
-                    .0
                     .as_ptr()
-                    .cloned()
                     .ok_or_else(|| Stop::Unsupported("memset operand".into()))?;
-                let c = args[1].0.as_int().map(IntVal::value).unwrap_or(0) as u8;
-                let n = args[2].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
-                self.mem.memset(&d, c, n)?;
-                Ok(Value::Ptr {
-                    ty: Ty::ptr(Ty::Void),
-                    v: d,
-                })
+                let c = args[1].as_int().map(IntVal::value).unwrap_or(0) as u8;
+                let n = args[2].as_int().map(IntVal::value).unwrap_or(0) as u64;
+                self.mem.memset(d, c, n)?;
+                Ok(Value::Ptr(d.clone()))
             }
             Memcmp => {
-                let a = args[0].0.as_ptr().cloned();
-                let bptr = args[1].0.as_ptr().cloned();
-                let n = args[2].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
-                let (a, bp) = match (a, bptr) {
-                    (Some(a), Some(b)) => (a, b),
-                    _ => return Err(Stop::Unsupported("memcmp operands".into())),
-                };
-                let r = self.mem.memcmp(&a, &bp, n)?;
+                let n = args[2].as_int().map(IntVal::value).unwrap_or(0) as u64;
+                let (a, bp) = ptr_pair("memcmp")?;
+                let r = self.mem.memcmp(a, bp, n)?;
                 int_result(IntTy::Int, i128::from(r))
             }
             Strlen => {
                 let p = args[0]
-                    .0
                     .as_ptr()
-                    .cloned()
                     .ok_or_else(|| Stop::Unsupported("strlen operand".into()))?;
-                let s = self.read_c_string(&p)?;
-                int_result(IntTy::ULong, s.len() as i128)
+                let len = self.read_c_string(p)?;
+                int_result(IntTy::ULong, len as i128)
             }
             Strcmp => {
-                let a = args[0].0.as_ptr().cloned();
-                let bptr = args[1].0.as_ptr().cloned();
-                let (a, bp) = match (a, bptr) {
-                    (Some(a), Some(b)) => (a, b),
-                    _ => return Err(Stop::Unsupported("strcmp operands".into())),
-                };
-                let sa = self.read_c_string(&a)?;
-                let sb = self.read_c_string(&bp)?;
-                int_result(IntTy::Int, i128::from(match sa.cmp(&sb) {
+                let (a, bp) = ptr_pair("strcmp")?;
+                // Both strings share the buffer: `a`'s bytes, then `b`'s.
+                let la = self.read_c_string(a)?;
+                self.append_c_string(bp)?;
+                let (sa, sb) = self.cstr.split_at(la);
+                // C compares as `unsigned char`, which is the byte order.
+                int_result(IntTy::Int, i128::from(match sa.cmp(sb) {
                     std::cmp::Ordering::Less => -1,
                     std::cmp::Ordering::Equal => 0,
                     std::cmp::Ordering::Greater => 1,
                 }))
             }
             Strcpy => {
-                let d = args[0].0.as_ptr().cloned();
-                let s = args[1].0.as_ptr().cloned();
-                let (d, s) = match (d, s) {
-                    (Some(d), Some(s)) => (d, s),
-                    _ => return Err(Stop::Unsupported("strcpy operands".into())),
-                };
-                let text = self.read_c_string(&s)?;
-                self.mem.memcpy(&d, &s, text.len() as u64 + 1)?;
-                Ok(Value::Ptr {
-                    ty: Ty::ptr(Ty::Int(IntTy::Char)),
-                    v: d,
-                })
+                let (d, s) = ptr_pair("strcpy")?;
+                let len = self.read_c_string(s)?;
+                self.mem.memcpy(d, s, len as u64 + 1)?;
+                Ok(Value::Ptr(d.clone()))
             }
             PrintCap => {
-                let line = self.render_cap_value(&args[0].0);
+                let line = self.render_cap_value(&args[0]);
                 self.stdout.push_str(&line);
                 self.stdout.push('\n');
                 Ok(Value::Void)
             }
             Fabs | Sqrt => {
-                let x = args[0].0.as_float().unwrap_or(0.0);
+                let x = args[0].as_float().unwrap_or(0.0);
                 let v = if b == Fabs { x.abs() } else { x.sqrt() };
                 Ok(Value::Float {
                     fty: FloatTy::F64,
@@ -1711,7 +1615,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 })
             }
             CheriTagGet | CheriIsValid => {
-                let c = cap_of(&args[0].0)?;
+                let c = cap_of(&args[0])?;
                 // §3.5: the tag of a ghost-unspecified capability reads as
                 // an *unspecified* boolean; we concretise to false and count.
                 let v = if c.ghost().tag_unspecified {
@@ -1723,21 +1627,19 @@ impl<'p, C: Capability> Interp<'p, C> {
                 int_result(IntTy::Bool, i128::from(v))
             }
             CheriTagClear => {
-                let c = cap_of(&args[0].0)?;
-                let orig = args.remove(0).0;
-                Ok(rewrap(self, &orig, c.clear_tag()))
+                let c = cap_of(&args[0])?;
+                Ok(rewrap(&args[0], c.clear_tag()))
             }
             CheriSentryCreate => {
-                let c = cap_of(&args[0].0)?;
-                let orig = args.remove(0).0;
-                Ok(rewrap(self, &orig, c.seal_entry()))
+                let c = cap_of(&args[0])?;
+                Ok(rewrap(&args[0], c.seal_entry()))
             }
             CheriAddressGet => {
-                let c = cap_of(&args[0].0)?;
+                let c = cap_of(&args[0])?;
                 int_result(IntTy::PtrAddr, i128::from(c.address()))
             }
             CheriBaseGet => {
-                let c = cap_of(&args[0].0)?;
+                let c = cap_of(&args[0])?;
                 let v = if c.ghost().bounds_unspecified {
                     self.unspecified_reads += 1;
                     0
@@ -1747,7 +1649,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 int_result(IntTy::PtrAddr, i128::from(v))
             }
             CheriLengthGet => {
-                let c = cap_of(&args[0].0)?;
+                let c = cap_of(&args[0])?;
                 let v = if c.ghost().bounds_unspecified {
                     self.unspecified_reads += 1;
                     0
@@ -1757,53 +1659,48 @@ impl<'p, C: Capability> Interp<'p, C> {
                 int_result(IntTy::ULong, i128::from(v))
             }
             CheriOffsetGet => {
-                let c = cap_of(&args[0].0)?;
+                let c = cap_of(&args[0])?;
                 int_result(
                     IntTy::ULong,
                     i128::from(c.address().wrapping_sub(c.bounds().base)),
                 )
             }
             CheriOffsetSet => {
-                let c = cap_of(&args[0].0)?;
-                let off = args[1].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
-                let orig = args.remove(0).0;
+                let c = cap_of(&args[0])?;
+                let off = args[1].as_int().map(IntVal::value).unwrap_or(0) as u64;
                 let new = c.with_address(c.bounds().base.wrapping_add(off));
-                Ok(rewrap(self, &orig, new))
+                Ok(rewrap(&args[0], new))
             }
             CheriAddressSet => {
-                let c = cap_of(&args[0].0)?;
-                let a = args[1].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
-                let orig = args.remove(0).0;
-                Ok(rewrap(self, &orig, c.with_address(a)))
+                let c = cap_of(&args[0])?;
+                let a = args[1].as_int().map(IntVal::value).unwrap_or(0) as u64;
+                Ok(rewrap(&args[0], c.with_address(a)))
             }
             CheriPermsGet => {
-                let c = cap_of(&args[0].0)?;
+                let c = cap_of(&args[0])?;
                 int_result(IntTy::ULong, i128::from(c.perms().bits()))
             }
             CheriPermsAnd => {
-                let c = cap_of(&args[0].0)?;
-                let mask = args[1].0.as_int().map(IntVal::value).unwrap_or(0) as u32;
-                let orig = args.remove(0).0;
+                let c = cap_of(&args[0])?;
+                let mask = args[1].as_int().map(IntVal::value).unwrap_or(0) as u32;
                 Ok(rewrap(
-                    self,
-                    &orig,
+                    &args[0],
                     c.with_perms_and(Perms::from_bits_truncate(mask)),
                 ))
             }
             CheriBoundsSet | CheriBoundsSetExact => {
-                let c = cap_of(&args[0].0)?;
-                let len = args[1].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
-                let orig = args.remove(0).0;
+                let c = cap_of(&args[0])?;
+                let len = args[1].as_int().map(IntVal::value).unwrap_or(0) as u64;
                 let new = if b == CheriBoundsSetExact {
                     c.with_bounds_exact(c.address(), len)
                 } else {
                     c.with_bounds(c.address(), len)
                 };
-                Ok(rewrap(self, &orig, new))
+                Ok(rewrap(&args[0], new))
             }
             CheriIsEqualExact => {
-                let a = cap_of(&args[0].0)?;
-                let c = cap_of(&args[1].0)?;
+                let a = cap_of(&args[0])?;
+                let c = cap_of(&args[1])?;
                 // §3.6: unspecified if either side has ghost state set.
                 let v = if !a.ghost().is_clean() || !c.ghost().is_clean() {
                     self.unspecified_reads += 1;
@@ -1814,55 +1711,52 @@ impl<'p, C: Capability> Interp<'p, C> {
                 int_result(IntTy::Bool, i128::from(v))
             }
             CheriIsSubset => {
-                let a = cap_of(&args[0].0)?;
-                let c = cap_of(&args[1].0)?;
+                let a = cap_of(&args[0])?;
+                let c = cap_of(&args[1])?;
                 let v = a.bounds().base >= c.bounds().base
                     && a.bounds().top <= c.bounds().top
                     && a.perms().is_subset_of(c.perms());
                 int_result(IntTy::Bool, i128::from(v))
             }
             CheriReprLength => {
-                let n = args[0].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
+                let n = args[0].as_int().map(IntVal::value).unwrap_or(0) as u64;
                 int_result(IntTy::ULong, i128::from(C::representable_length(n)))
             }
             CheriReprAlignMask => {
-                let n = args[0].0.as_int().map(IntVal::value).unwrap_or(0) as u64;
+                let n = args[0].as_int().map(IntVal::value).unwrap_or(0) as u64;
                 int_result(
                     IntTy::ULong,
                     i128::from(C::representable_alignment_mask(n)),
                 )
             }
             CheriSeal => {
-                let c = cap_of(&args[0].0)?;
-                let auth = cap_of(&args[1].0)?;
-                let orig = args.remove(0).0;
+                let c = cap_of(&args[0])?;
+                let auth = cap_of(&args[1])?;
                 let new = c.seal(&auth).unwrap_or_else(|_| c.clear_tag());
-                Ok(rewrap(self, &orig, new))
+                Ok(rewrap(&args[0], new))
             }
             CheriUnseal => {
-                let c = cap_of(&args[0].0)?;
-                let auth = cap_of(&args[1].0)?;
-                let orig = args.remove(0).0;
+                let c = cap_of(&args[0])?;
+                let auth = cap_of(&args[1])?;
                 let new = c.unseal(&auth).unwrap_or_else(|_| c.clear_tag());
-                Ok(rewrap(self, &orig, new))
+                Ok(rewrap(&args[0], new))
             }
             CheriIsSealed => {
-                let c = cap_of(&args[0].0)?;
+                let c = cap_of(&args[0])?;
                 int_result(IntTy::Bool, i128::from(c.is_sealed()))
             }
             CheriTypeGet => {
-                let c = cap_of(&args[0].0)?;
+                let c = cap_of(&args[0])?;
                 int_result(IntTy::Long, i128::from(c.otype().value()))
             }
             CheriFlagsGet => {
-                let c = cap_of(&args[0].0)?;
+                let c = cap_of(&args[0])?;
                 int_result(IntTy::ULong, i128::from(c.flags()))
             }
             CheriFlagsSet => {
-                let c = cap_of(&args[0].0)?;
-                let f = args[1].0.as_int().map(IntVal::value).unwrap_or(0) as u8;
-                let orig = args.remove(0).0;
-                Ok(rewrap(self, &orig, c.with_flags(f)))
+                let c = cap_of(&args[0])?;
+                let f = args[1].as_int().map(IntVal::value).unwrap_or(0) as u8;
+                Ok(rewrap(&args[0], c.with_flags(f)))
             }
             CheriDdcGet | CheriPccGet => {
                 // DDC: every data authority including seal/unseal, but not
@@ -1872,24 +1766,29 @@ impl<'p, C: Capability> Interp<'p, C> {
                 } else {
                     C::root().with_perms_and(Perms::code() | Perms::LOAD)
                 };
-                Ok(Value::Ptr {
-                    ty: Ty::ptr(Ty::Void),
-                    v: PtrVal::new(Provenance::Empty, cap),
-                })
+                Ok(Value::Ptr(PtrVal::new(Provenance::Empty, cap)))
             }
         }
     }
 
-    fn read_c_string(&mut self, p: &PtrVal<C>) -> EResult<String> {
-        let mut out = Vec::new();
+    /// Read the NUL-terminated C string at `p` into the reusable buffer
+    /// `self.cstr` (without its terminator) and return its length in
+    /// bytes. The bytes stay bytes: only `printf` decodes them, for output.
+    fn read_c_string(&mut self, p: &PtrVal<C>) -> EResult<usize> {
+        self.cstr.clear();
+        self.append_c_string(p)
+    }
+
+    /// [`Interp::read_c_string`] after the bytes already in the buffer:
+    /// one bounds-checked byte load per character, terminator included.
+    fn append_c_string(&mut self, p: &PtrVal<C>) -> EResult<usize> {
         for i in 0..65536i64 {
             let q = self.mem.array_shift(p, 1, i)?;
-            let b = self.mem.load_int(&q, 1, false, false)?;
-            let b = b.value() as u8;
+            let b = self.mem.load_int(&q, 1, false, false)?.value() as u8;
             if b == 0 {
-                return Ok(String::from_utf8_lossy(&out).into_owned());
+                return Ok(i as usize);
             }
-            out.push(b);
+            self.cstr.push(b);
         }
         Err(Stop::Limit("unterminated string".into()))
     }
@@ -1901,7 +1800,7 @@ impl<'p, C: Capability> Interp<'p, C> {
     fn render_cap_value(&self, v: &Value<C>) -> String {
         let with_prov = self.profile.mem.abstract_ub;
         let (cap, prov) = match v {
-            Value::Ptr { v, .. } => (Some(&v.cap), v.prov),
+            Value::Ptr(v) => (Some(&v.cap), v.prov),
             Value::Int { v, .. } => match v {
                 IntVal::Cap { cap, prov, .. } => (Some(cap), *prov),
                 IntVal::Num(n) => return format!("{n}"),
@@ -1918,11 +1817,11 @@ impl<'p, C: Capability> Interp<'p, C> {
     }
 
     /// Minimal printf-style formatting.
-    fn format(&mut self, fmt: &str, args: &[(Value<C>, Ty)]) -> EResult<String> {
+    fn format(&mut self, fmt: &str, args: &[Value<C>]) -> EResult<String> {
         let mut out = String::new();
         let mut it = fmt.chars();
         let mut arg_i = 0;
-        let next = |i: &mut usize| -> Option<&(Value<C>, Ty)> {
+        let next = |i: &mut usize| -> Option<&Value<C>> {
             let v = args.get(*i);
             *i += 1;
             v
@@ -1950,32 +1849,32 @@ impl<'p, C: Capability> Interp<'p, C> {
             match conv {
                 Some('%') => out.push('%'),
                 Some('d' | 'i') => {
-                    if let Some((v, _)) = next(&mut arg_i) {
+                    if let Some(v) = next(&mut arg_i) {
                         out.push_str(&v.as_int().map(IntVal::value).unwrap_or(0).to_string());
                     }
                 }
                 Some('u') => {
-                    if let Some((v, _)) = next(&mut arg_i) {
+                    if let Some(v) = next(&mut arg_i) {
                         let n = v.as_int().map(IntVal::value).unwrap_or(0);
                         out.push_str(&(n as u64).to_string());
                     }
                 }
                 Some('x') => {
-                    if let Some((v, _)) = next(&mut arg_i) {
+                    if let Some(v) = next(&mut arg_i) {
                         let n = v.as_int().map(IntVal::value).unwrap_or(0);
                         out.push_str(&format!("{:x}", n as u64));
                     }
                 }
                 Some('X') => {
-                    if let Some((v, _)) = next(&mut arg_i) {
+                    if let Some(v) = next(&mut arg_i) {
                         let n = v.as_int().map(IntVal::value).unwrap_or(0);
                         out.push_str(&format!("{:X}", n as u64));
                     }
                 }
                 Some('p') => {
-                    if let Some((v, _)) = next(&mut arg_i) {
+                    if let Some(v) = next(&mut arg_i) {
                         match v {
-                            Value::Ptr { v, .. } => out.push_str(&format!("{:#x}", v.addr())),
+                            Value::Ptr(v) => out.push_str(&format!("{:#x}", v.addr())),
                             Value::Int { v, .. } => {
                                 out.push_str(&format!("{:#x}", v.value() as u64));
                             }
@@ -1984,28 +1883,28 @@ impl<'p, C: Capability> Interp<'p, C> {
                     }
                 }
                 Some('f') => {
-                    if let Some((v, _)) = next(&mut arg_i) {
+                    if let Some(v) = next(&mut arg_i) {
                         let f = v.as_float().unwrap_or(0.0);
                         out.push_str(&format!("{f:.6}"));
                     }
                 }
                 Some('g' | 'e') => {
-                    if let Some((v, _)) = next(&mut arg_i) {
+                    if let Some(v) = next(&mut arg_i) {
                         let f = v.as_float().unwrap_or(0.0);
                         out.push_str(&format!("{f}"));
                     }
                 }
                 Some('c') => {
-                    if let Some((v, _)) = next(&mut arg_i) {
+                    if let Some(v) = next(&mut arg_i) {
                         let n = v.as_int().map(IntVal::value).unwrap_or(0) as u8;
                         out.push(n as char);
                     }
                 }
                 Some('s') => {
-                    if let Some((v, _)) = next(&mut arg_i) {
+                    if let Some(v) = next(&mut arg_i) {
                         if let Some(p) = v.as_ptr() {
-                            let p = p.clone();
-                            out.push_str(&self.read_c_string(&p)?);
+                            self.read_c_string(p)?;
+                            out.push_str(&String::from_utf8_lossy(&self.cstr));
                         }
                     }
                 }

@@ -49,6 +49,18 @@ fn loc<C: Capability>(frame: &VmFrame<C>, r: Reg) -> EResult<&PtrVal<C>> {
     }
 }
 
+/// Copy the argument registers `regs` into the empty buffer `args`.
+fn collect_args<C: Capability>(
+    frame: &VmFrame<C>,
+    regs: impl Iterator<Item = Reg>,
+    args: &mut Vec<Value<C>>,
+) -> EResult<()> {
+    for r in regs {
+        args.push(val(frame, r)?.clone());
+    }
+    Ok(())
+}
+
 /// Run a lowered program to completion against `it` (whose world —
 /// globals, function sentries, streams — must already be set up) and
 /// return the exit code, exactly as the tree engine's `main` call does.
@@ -61,7 +73,7 @@ pub(crate) fn execute<C: Capability>(it: &mut Interp<'_, C>, ir: &IrProgram) -> 
         .map(|n| it.globals.get(n).expect("global allocated").0.clone())
         .collect();
     let mut frames: Vec<VmFrame<C>> = Vec::new();
-    push_frame(it, ir, &mut frames, main, Vec::new(), 0)?;
+    push_frame(it, ir, &mut frames, main, &mut Vec::new(), 0)?;
     match run_loop(it, ir, &gtab, &mut frames) {
         // One shared conversion with the tree engine (see
         // `interp::exit_code`): the engines cannot drift on how wide or
@@ -74,13 +86,14 @@ pub(crate) fn execute<C: Capability>(it: &mut Interp<'_, C>, ir: &IrProgram) -> 
 /// Allocate a callee frame: depth check first, then per-parameter object
 /// allocation + argument store + slot binding, in declaration order. A
 /// parameter-setup error leaves already-allocated objects alive (tree
-/// engine parity: its kill loop is skipped on that path too).
+/// engine parity: its kill loop is skipped on that path too). The
+/// arguments are drained from `args`, which keeps its capacity.
 fn push_frame<C: Capability>(
     it: &mut Interp<'_, C>,
     ir: &IrProgram,
     frames: &mut Vec<VmFrame<C>>,
     f: u32,
-    args: Vec<Value<C>>,
+    args: &mut Vec<Value<C>>,
     ret_dst: Reg,
 ) -> EResult<()> {
     it.call_depth += 1;
@@ -100,7 +113,7 @@ fn push_frame<C: Capability>(
     frame
         .regs
         .resize_with(func.n_regs as usize, || RVal::Val(Value::Void));
-    for (p, v) in func.params.iter().zip(args) {
+    for (p, v) in func.params.iter().zip(args.drain(..)) {
         // Fast mode (DESIGN.md §12): a register-promoted parameter is
         // passed straight into its register — no object, no store, no
         // kill-list entry. The escape analysis proved no address of it is
@@ -167,9 +180,10 @@ fn unwind<C: Capability>(
 /// A control transfer that needs the whole frame stack: the dispatch loop
 /// executes straight-line code against a single borrowed frame and only
 /// surfaces to push or pop frames, so the per-instruction path touches
-/// neither the frame vector nor the function table.
+/// neither the frame vector nor the function table. A call's arguments
+/// wait in the loop's argument buffer.
 enum Xfer<C: Capability> {
-    Call { f: u32, dst: Reg, args: Vec<Value<C>> },
+    Call { f: u32, dst: Reg },
     Ret(Value<C>),
 }
 
@@ -179,14 +193,17 @@ fn run_loop<C: Capability>(
     gtab: &[PtrVal<C>],
     frames: &mut Vec<VmFrame<C>>,
 ) -> EResult<Value<C>> {
+    // Argument values of the call being made, reused by every call so
+    // that passing arguments does not allocate.
+    let mut args = Vec::new();
     loop {
         let xfer = {
             let frame = frames.last_mut().expect("active frame");
             let func = &ir.funcs[frame.func as usize];
-            dispatch(it, ir, gtab, frame, func)?
+            dispatch(it, ir, gtab, frame, func, &mut args)?
         };
         match xfer {
-            Xfer::Call { f, dst, args } => push_frame(it, ir, frames, f, args, dst)?,
+            Xfer::Call { f, dst } => push_frame(it, ir, frames, f, &mut args, dst)?,
             Xfer::Ret(v) => {
                 if let Some(out) = pop_return(it, frames, v)? {
                     return Ok(out);
@@ -197,7 +214,7 @@ fn run_loop<C: Capability>(
 }
 
 /// Execute instructions in `frame` until a call or return transfers
-/// control to another frame.
+/// control to another frame. `args` is the (empty) argument buffer.
 #[allow(clippy::too_many_lines)]
 fn dispatch<C: Capability>(
     it: &mut Interp<'_, C>,
@@ -205,6 +222,7 @@ fn dispatch<C: Capability>(
     gtab: &[PtrVal<C>],
     frame: &mut VmFrame<C>,
     func: &super::IrFunc,
+    args: &mut Vec<Value<C>>,
 ) -> EResult<Xfer<C>> {
     loop {
         let inst = &func.code[frame.pc as usize];
@@ -219,22 +237,16 @@ fn dispatch<C: Capability>(
             Inst::ConstFloat { dst, fty, v } => {
                 frame.regs[*dst as usize] = RVal::Val(Value::Float { fty: *fty, v: *v });
             }
-            Inst::StrLit { dst, s, ty } => {
+            Inst::StrLit { dst, s, ty: _ } => {
                 let p = it.intern_string(&ir.strs[s.0 as usize])?;
-                frame.regs[*dst as usize] = RVal::Val(Value::Ptr {
-                    ty: ir.types[ty.0 as usize].clone(),
-                    v: p,
-                });
+                frame.regs[*dst as usize] = RVal::Val(Value::Ptr(p));
             }
-            Inst::FuncAddr { dst, name, ty } => {
+            Inst::FuncAddr { dst, name, ty: _ } => {
                 let nm = &ir.strs[name.0 as usize];
                 let p = it.func_ptrs.get(nm).cloned().ok_or_else(|| {
                     Stop::Unsupported(format!("unknown function `{nm}`"))
                 })?;
-                frame.regs[*dst as usize] = RVal::Val(Value::Ptr {
-                    ty: ir.types[ty.0 as usize].clone(),
-                    v: p,
-                });
+                frame.regs[*dst as usize] = RVal::Val(Value::Ptr(p));
             }
             Inst::Move { dst, src } => {
                 let v = match &frame.regs[*src as usize] {
@@ -269,7 +281,7 @@ fn dispatch<C: Capability>(
             }
             Inst::DerefLoc { dst, src } => {
                 let p = match val(frame, *src)? {
-                    Value::Ptr { v, .. } => v.clone(),
+                    Value::Ptr(v) => v.clone(),
                     Value::Int { v, .. } => it.mem.cast_int_to_ptr(v),
                     Value::Float { .. } | Value::Void => {
                         return Err(Stop::Unsupported("deref of non-pointer".into()))
@@ -298,7 +310,7 @@ fn dispatch<C: Capability>(
                 let v = val(frame, *src)?;
                 it.store_value(p, &ir.types[ty.0 as usize], v)?;
             }
-            Inst::AddrOf { dst, loc: l, ty, narrow } => {
+            Inst::AddrOf { dst, loc: l, ty: _, narrow } => {
                 let p = loc(frame, *l)?.clone();
                 let p = match narrow {
                     Some(size)
@@ -308,10 +320,7 @@ fn dispatch<C: Capability>(
                     }
                     _ => p,
                 };
-                frame.regs[*dst as usize] = RVal::Val(Value::Ptr {
-                    ty: ir.types[ty.0 as usize].clone(),
-                    v: p,
-                });
+                frame.regs[*dst as usize] = RVal::Val(Value::Ptr(p));
             }
             Inst::MemcpyAgg { dst, src, n } => {
                 let d = loc(frame, *dst)?.clone();
@@ -350,7 +359,7 @@ fn dispatch<C: Capability>(
                 let res = it.unary_int(*op, val(frame, *src)?, *ity)?;
                 frame.regs[*dst as usize] = RVal::Val(res);
             }
-            Inst::PtrAdd { dst, ptr, idx, elem, neg, ty } => {
+            Inst::PtrAdd { dst, ptr, idx, elem, neg, ty: _ } => {
                 let q = {
                     let p = val(frame, *ptr)?.as_ptr().ok_or_else(|| {
                         Stop::Unsupported("pointer arithmetic on non-pointer".into())
@@ -361,10 +370,7 @@ fn dispatch<C: Capability>(
                     }
                     it.mem.array_shift(p, *elem, i as i64)?
                 };
-                frame.regs[*dst as usize] = RVal::Val(Value::Ptr {
-                    ty: ir.types[ty.0 as usize].clone(),
-                    v: q,
-                });
+                frame.regs[*dst as usize] = RVal::Val(Value::Ptr(q));
             }
             Inst::PtrDiff { dst, a, b, elem } => {
                 let d = {
@@ -429,9 +435,8 @@ fn dispatch<C: Capability>(
                 let ty = &ir.types[ty.0 as usize];
                 let old = it.load_value(&p, ty)?;
                 let new = match (&old, *elem) {
-                    (Value::Ptr { ty: pty, v }, elem) if elem > 0 => {
-                        let q = it.mem.array_shift(v, elem, if *inc { 1 } else { -1 })?;
-                        Value::Ptr { ty: pty.clone(), v: q }
+                    (Value::Ptr(v), elem) if elem > 0 => {
+                        Value::Ptr(it.mem.array_shift(v, elem, if *inc { 1 } else { -1 })?)
                     }
                     (Value::Int { ity, v }, _) => {
                         let delta = if *inc { 1 } else { -1 };
@@ -519,7 +524,7 @@ fn dispatch<C: Capability>(
             Inst::PtrAssignAdd { dst, loc: l, ty, cur, idx, elem, neg } => {
                 let p = loc(frame, *l)?.clone();
                 let curp = match val(frame, *cur)? {
-                    Value::Ptr { v, .. } => v.clone(),
+                    Value::Ptr(v) => v.clone(),
                     _ => {
                         return Err(Stop::Unsupported("pointer compound assignment".into()))
                     }
@@ -528,10 +533,8 @@ fn dispatch<C: Capability>(
                 if *neg {
                     i = -i;
                 }
-                let q = it.mem.array_shift(&curp, *elem, i as i64)?;
-                let ty = &ir.types[ty.0 as usize];
-                let out = Value::Ptr { ty: ty.clone(), v: q };
-                it.store_value(&p, ty, &out)?;
+                let out = Value::Ptr(it.mem.array_shift(&curp, *elem, i as i64)?);
+                it.store_value(&p, &ir.types[ty.0 as usize], &out)?;
                 frame.regs[*dst as usize] = RVal::Val(out);
             }
 
@@ -543,9 +546,8 @@ fn dispatch<C: Capability>(
             Inst::RegIncDec { dst, reg, inc, prefix, elem } => {
                 let old = val(frame, *reg)?.clone();
                 let new = match (&old, *elem) {
-                    (Value::Ptr { ty: pty, v }, elem) if elem > 0 => {
-                        let q = it.mem.array_shift(v, elem, if *inc { 1 } else { -1 })?;
-                        Value::Ptr { ty: pty.clone(), v: q }
+                    (Value::Ptr(v), elem) if elem > 0 => {
+                        Value::Ptr(it.mem.array_shift(v, elem, if *inc { 1 } else { -1 })?)
                     }
                     (Value::Int { ity, v }, _) => {
                         let delta = if *inc { 1 } else { -1 };
@@ -628,9 +630,9 @@ fn dispatch<C: Capability>(
                 frame.regs[*reg as usize] = RVal::Val(out.clone());
                 frame.regs[*dst as usize] = RVal::Val(out);
             }
-            Inst::RegPtrAssignAdd { dst, reg, ty, cur, idx, elem, neg } => {
+            Inst::RegPtrAssignAdd { dst, reg, ty: _, cur, idx, elem, neg } => {
                 let curp = match val(frame, *cur)? {
-                    Value::Ptr { v, .. } => v.clone(),
+                    Value::Ptr(v) => v.clone(),
                     _ => {
                         return Err(Stop::Unsupported("pointer compound assignment".into()))
                     }
@@ -639,9 +641,7 @@ fn dispatch<C: Capability>(
                 if *neg {
                     i = -i;
                 }
-                let q = it.mem.array_shift(&curp, *elem, i as i64)?;
-                let ty = &ir.types[ty.0 as usize];
-                let out = Value::Ptr { ty: ty.clone(), v: q };
+                let out = Value::Ptr(it.mem.array_shift(&curp, *elem, i as i64)?);
                 frame.regs[*reg as usize] = RVal::Val(out.clone());
                 frame.regs[*dst as usize] = RVal::Val(out);
             }
@@ -666,26 +666,22 @@ fn dispatch<C: Capability>(
                     .cast_ptr_to_int(&p, to.is_capability(), to.signed(), *size);
                 frame.regs[*dst as usize] = RVal::Val(Value::Int { ity: *to, v });
             }
-            Inst::IntToPtr { dst, src, ty } => {
-                let v = val(frame, *src)?
-                    .as_int()
-                    .cloned()
-                    .ok_or_else(|| Stop::Unsupported("int-to-pointer operand".into()))?;
-                let p = it.mem.cast_int_to_ptr(&v);
-                frame.regs[*dst as usize] = RVal::Val(Value::Ptr {
-                    ty: ir.types[ty.0 as usize].clone(),
-                    v: p,
-                });
+            Inst::IntToPtr { dst, src, ty: _ } => {
+                let p = {
+                    let v = val(frame, *src)?
+                        .as_int()
+                        .ok_or_else(|| Stop::Unsupported("int-to-pointer operand".into()))?;
+                    it.mem.cast_int_to_ptr(v)
+                };
+                frame.regs[*dst as usize] = RVal::Val(Value::Ptr(p));
             }
-            Inst::PtrToPtr { dst, src, ty } => {
-                let p = val(frame, *src)?
-                    .as_ptr()
-                    .cloned()
-                    .ok_or_else(|| Stop::Unsupported("pointer cast operand".into()))?;
-                frame.regs[*dst as usize] = RVal::Val(Value::Ptr {
-                    ty: ir.types[ty.0 as usize].clone(),
-                    v: p,
-                });
+            Inst::PtrToPtr { dst, src, ty: _ } => {
+                // §3.9: a register copy; the cast changes no capability.
+                let v = val(frame, *src)?;
+                if v.as_ptr().is_none() {
+                    return Err(Stop::Unsupported("pointer cast operand".into()));
+                }
+                frame.regs[*dst as usize] = RVal::Val(v.clone());
             }
             Inst::IntToFloat { dst, src, fty } => {
                 let n = val(frame, *src)?
@@ -746,14 +742,11 @@ fn dispatch<C: Capability>(
             }
 
             // ── Calls and returns ───────────────────────────────────────
-            Inst::CallDirect { dst, f, args } => {
-                let argv: Vec<Value<C>> = args
-                    .iter()
-                    .map(|&r| val(frame, r).cloned())
-                    .collect::<EResult<_>>()?;
-                return Ok(Xfer::Call { f: f.0, dst: *dst, args: argv });
+            Inst::CallDirect { dst, f, args: regs } => {
+                collect_args(frame, regs.iter().copied(), args)?;
+                return Ok(Xfer::Call { f: f.0, dst: *dst });
             }
-            Inst::CallIndirect { dst, callee, args } => {
+            Inst::CallIndirect { dst, callee, args: regs } => {
                 let fv = val(frame, *callee)?;
                 let p = fv
                     .as_ptr()
@@ -779,21 +772,14 @@ fn dispatch<C: Capability>(
                 let f = ir.func_index.get(name).copied().ok_or_else(|| {
                     Stop::Unsupported(format!("call of undefined `{name}`"))
                 })?;
-                let argv: Vec<Value<C>> = args
-                    .iter()
-                    .map(|&r| val(frame, r).cloned())
-                    .collect::<EResult<_>>()?;
-                return Ok(Xfer::Call { f, dst: *dst, args: argv });
+                collect_args(frame, regs.iter().copied(), args)?;
+                return Ok(Xfer::Call { f, dst: *dst });
             }
-            Inst::CallBuiltin { dst, b, args } => {
-                let argv: Vec<(Value<C>, Ty)> = args
-                    .iter()
-                    .map(|&(r, t)| {
-                        val(frame, r).map(|v| (v.clone(), ir.types[t.0 as usize].clone()))
-                    })
-                    .collect::<EResult<_>>()?;
-                let res = it.eval_builtin(*b, argv)?;
-                frame.regs[*dst as usize] = RVal::Val(res);
+            Inst::CallBuiltin { dst, b, args: regs } => {
+                collect_args(frame, regs.iter().map(|&(r, _)| r), args)?;
+                let res = it.eval_builtin(*b, args);
+                args.clear();
+                frame.regs[*dst as usize] = RVal::Val(res?);
             }
             Inst::Ret { src } => {
                 let v = val(frame, *src)?.clone();

@@ -1139,3 +1139,50 @@ fn malformed_ptr_cmp_op_errors_instead_of_panicking() {
         other => panic!("expected loud error, got {other}"),
     }
 }
+
+// ── C strings are bytes ──────────────────────────────────────────────────
+//
+// `strlen`, `strcpy` and `strcmp` work on the bytes of a C string. They
+// used to decode it as UTF-8 first, so a non-ASCII byte became the 3-byte
+// U+FFFD: `strlen` over-counted, `strcpy` copied past the source string
+// (a false bounds violation) and distinct strings compared equal.
+
+/// A 2-byte string whose first byte is not UTF-8.
+const NON_UTF8_STRLEN: &str = r#"
+int main(void) {
+  char s[3] = {(char)200, 'a', 0};
+  char d[3];
+  strcpy(d, s);
+  printf("%d\n", (int)strlen(d));
+  return (int)strlen(s);
+}"#;
+
+/// `strcmp` orders bytes as `unsigned char`, on strings that are not UTF-8.
+const NON_UTF8_STRCMP: &str = r#"
+int main(void) {
+  char lo[2] = {(char)200, 0};
+  char hi[2] = {(char)201, 0};
+  printf("%d %d %d\n", strcmp(lo, hi), strcmp(hi, lo), strcmp(lo, "z"));
+  return 0;
+}"#;
+
+fn expect_on_every_profile_and_engine(src: &str, stdout: &str, code: i64) {
+    use crate::{run_with_engine, Engine, MorelloCap};
+    for p in Profile::all_compared() {
+        for engine in [Engine::Tree, Engine::Bytecode] {
+            let r = run_with_engine::<MorelloCap>(src, &p, engine);
+            assert_eq!(r.outcome, Outcome::Exit(code), "{} {engine:?}", p.name);
+            assert_eq!(r.stdout, stdout, "{} {engine:?}", p.name);
+        }
+    }
+}
+
+#[test]
+fn strlen_and_strcpy_count_bytes_not_utf8() {
+    expect_on_every_profile_and_engine(NON_UTF8_STRLEN, "2\n", 2);
+}
+
+#[test]
+fn strcmp_orders_non_utf8_bytes_as_unsigned_char() {
+    expect_on_every_profile_and_engine(NON_UTF8_STRCMP, "-1 1 1\n", 0);
+}

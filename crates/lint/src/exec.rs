@@ -1507,7 +1507,7 @@ impl<'p, C: Capability> Exec<'p, C> {
                     .and_then(|(v, _)| v.as_ptr())
                     .cloned()
                     .ok_or_else(|| Stop::Bail("format string expected".into()))?;
-                let fmt = self.read_c_string(&fmt_ptr)?;
+                let fmt = String::from_utf8_lossy(&self.read_c_string(&fmt_ptr)?).into_owned();
                 let rendered = self.format(&fmt, &args[skip + 1..])?;
                 if b == Fprintf {
                     self.stderr.push_str(&rendered);
@@ -1627,6 +1627,7 @@ impl<'p, C: Capability> Exec<'p, C> {
                     (Some(a), Some(b)) => (a, b),
                     _ => return Err(Stop::Bail("strcmp operands".into())),
                 };
+                // Byte order is C's `unsigned char` order.
                 let sa = self.read_c_string(&a)?;
                 let sb = self.read_c_string(&bp)?;
                 int_result(
@@ -1819,14 +1820,16 @@ impl<'p, C: Capability> Exec<'p, C> {
         }
     }
 
-    fn read_c_string(&mut self, p: &PtrVal<C>) -> EResult<String> {
+    /// The bytes of the NUL-terminated C string at `p`, terminator
+    /// excluded; only `printf` decodes them.
+    fn read_c_string(&mut self, p: &PtrVal<C>) -> EResult<Vec<u8>> {
         let mut out = Vec::new();
         for i in 0..65536i64 {
             let q = self.mem.array_shift(p, 1, i)?;
             let b = self.mem.load_int(&q, 1, false, false)?;
             let b = b.value() as u8;
             if b == 0 {
-                return Ok(String::from_utf8_lossy(&out).into_owned());
+                return Ok(out);
             }
             out.push(b);
         }
@@ -1922,7 +1925,7 @@ impl<'p, C: Capability> Exec<'p, C> {
                     if let Some((v, _)) = next(&mut arg_i) {
                         if let Some(p) = v.as_ptr() {
                             let p = p.clone();
-                            out.push_str(&self.read_c_string(&p)?);
+                            out.push_str(&String::from_utf8_lossy(&self.read_c_string(&p)?));
                         }
                     }
                 }

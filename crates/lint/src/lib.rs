@@ -448,6 +448,27 @@ mod tests {
         assert!(p.starts_with("UB:"), "predicted {p}");
     }
 
+    /// `strlen`/`strcpy` count the bytes of a C string, not its UTF-8
+    /// decoding: a 2-byte string whose first byte is not UTF-8 copies into
+    /// a 3-byte array cleanly, as the interpreter runs it (cheri-core's
+    /// `strlen_and_strcpy_count_bytes_not_utf8`).
+    #[test]
+    fn non_utf8_c_string_copy_is_clean() {
+        let src = r#"
+int main(void) {
+  char s[3] = {(char)200, 'a', 0};
+  char d[3];
+  strcpy(d, s);
+  printf("%d\n", (int)strlen(d));
+  return (int)strlen(s);
+}"#;
+        for p in Profile::all_compared() {
+            let r = lint(src, &p).unwrap();
+            assert_eq!(r.overall(), Verdict::Clean, "{}", p.name);
+            assert_eq!(r.predicted.as_deref(), Some("exit(2)"), "{}", p.name);
+        }
+    }
+
     #[test]
     fn infinite_loop_widens() {
         let src = "int main(void) { int x = 0; while (1) { x = x + 1; if (x > 2) x = 0; } return x; }";

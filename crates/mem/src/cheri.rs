@@ -250,6 +250,9 @@ pub struct CheriMemory<C: Capability> {
     /// object. Buffer identity is not observable: a recycled buffer is
     /// cleared and refilled with `UNINIT` exactly like a fresh one.
     recycle: Vec<Vec<AbsByte>>,
+    /// The bytes a `memcpy` is moving, reused across copies so that
+    /// copying does not allocate.
+    copy_buf: Vec<AbsByte>,
     _cap: std::marker::PhantomData<C>,
 }
 
@@ -280,6 +283,7 @@ impl<C: Capability> CheriMemory<C> {
             stats: MemStats::default(),
             sink: SinkHandle::none(),
             recycle: Vec::new(),
+            copy_buf: Vec::new(),
             _cap: std::marker::PhantomData,
         }
     }
@@ -1288,8 +1292,12 @@ impl<C: Capability> CheriMemory<C> {
 
     /// Raw byte copy without checks (used by realloc internally).
     fn copy_bytes_raw(&mut self, src: u64, dst: u64, n: u64) {
-        let bytes = self.read_bytes(src, n);
+        let mut bytes = std::mem::take(&mut self.copy_buf);
+        bytes.clear();
+        bytes.resize(n as usize, AbsByte::UNINIT);
+        self.read_bytes_into(src, &mut bytes);
         self.write_abs_bytes(dst, &bytes);
+        self.copy_buf = bytes;
         // The copy is a (possibly partial) representation write to the
         // destination: any capability whose slot it touches is invalidated…
         let cb = C::CAP_BYTES as u64;
@@ -1518,7 +1526,9 @@ impl<C: Capability> CheriMemory<C> {
     }
 
     fn store_cap_bytes(&mut self, addr: u64, cap: &C, prov: Provenance) {
-        let enc = cap.encode();
+        let mut buf = [0u8; SCALAR_BUF];
+        let enc = &mut buf[..C::CAP_BYTES];
+        cap.encode_into(enc);
         let cb = C::CAP_BYTES as u64;
         let mut abs = [AbsByte::UNINIT; SCALAR_BUF];
         for (i, o) in abs[..enc.len()].iter_mut().enumerate() {
