@@ -37,7 +37,7 @@ use crate::types::IntTy;
 use super::{Inst, IrFunc, IrProgram, Reg};
 
 /// Upper bound on optimisation rounds per function. Each round runs every
-/// pass once and rebuilds the code; a round that changes nothing ends the
+/// pass once and compacts the code; a round that changes nothing ends the
 /// loop early. Two or three rounds reach the fixpoint in practice (a
 /// fusion exposes a dead def, the next round deletes it).
 const MAX_ROUNDS: usize = 4;
@@ -47,8 +47,14 @@ pub fn optimize(ir: &mut IrProgram) {
     for f in &mut ir.funcs {
         for _ in 0..MAX_ROUNDS {
             let mut changed = thread_jumps(f);
-            changed |= fuse_pairs(f);
-            changed |= delete_dead(f);
+            let mut lv = Liveness::compute(f);
+            // Fusion rewrites nothing unless it reports a change, so its
+            // liveness still describes the code dead-def elimination sees.
+            if fuse_pairs(f, &lv) {
+                changed = true;
+                lv = Liveness::compute(f);
+            }
+            changed |= delete_dead(f, &lv);
             if !changed {
                 break;
             }
@@ -265,37 +271,64 @@ pub(crate) struct Liveness {
 
 impl Liveness {
     pub(crate) fn compute(func: &IrFunc) -> Liveness {
-        let n = func.code.len();
+        Self::fixpoint(func).0
+    }
+
+    /// The least fixpoint of the backward equations, and how many sweeps
+    /// reached it. A sweep from high to low pcs reads each forward
+    /// successor after that successor's row is final for the sweep, so
+    /// only a row that changes at the target of a backward edge (a
+    /// self-loop included) can leave a predecessor's row stale: another
+    /// sweep runs only when such a row changed. When none did, every row
+    /// satisfies its equation. Rows start empty and only grow, never past
+    /// the least fixpoint, so the fixpoint reached is the least one.
+    fn fixpoint(func: &IrFunc) -> (Liveness, usize) {
+        let code = &func.code;
+        let n = code.len();
         let words = (func.n_regs as usize).div_ceil(64).max(1);
-        let mut lv = Liveness { words, live_in: vec![0u64; n * words], n };
-        // Iterate backward to a fixpoint. Code is mostly forward-branching,
-        // so sweeping high→low pcs converges in one pass per loop nest.
-        let mut changed = true;
-        while changed {
-            changed = false;
+        let mut lv = Liveness {
+            words,
+            live_in: vec![0u64; n * words],
+            n,
+        };
+        let mut back_target = vec![false; n];
+        for pc in 0..n {
+            successors(code, pc, |s| {
+                if s <= pc {
+                    back_target[s] = true;
+                }
+            });
+        }
+        let mut out = vec![0u64; words];
+        let mut sweeps = 0;
+        loop {
+            sweeps += 1;
+            let mut again = false;
             for pc in (0..n).rev() {
-                let mut out = vec![0u64; words];
-                successors(&func.code, pc, |s| {
-                    if s < lv.n {
-                        for (w, o) in out.iter_mut().enumerate() {
-                            *o |= lv.live_in[s * words + w];
+                out.fill(0);
+                successors(code, pc, |s| {
+                    if s < n {
+                        for (o, l) in out.iter_mut().zip(&lv.live_in[s * words..(s + 1) * words]) {
+                            *o |= l;
                         }
                     }
                 });
-                if let Some(d) = def_of(&func.code[pc]) {
+                if let Some(d) = def_of(&code[pc]) {
                     out[d as usize / 64] &= !(1u64 << (d % 64));
                 }
-                for_each_use(&func.code[pc], |r| {
+                for_each_use(&code[pc], |r| {
                     out[r as usize / 64] |= 1u64 << (r % 64);
                 });
                 let row = &mut lv.live_in[pc * words..(pc + 1) * words];
                 if row != &out[..] {
                     row.copy_from_slice(&out);
-                    changed = true;
+                    again |= back_target[pc];
                 }
             }
+            if !again {
+                return (lv, sweeps);
+            }
         }
-        lv
     }
 
     /// Is `r`'s value possibly read on some path *from* `pc` (inclusive)?
@@ -321,11 +354,21 @@ impl Liveness {
 /// followed with a hop bound as the cycle guard) and delete jumps to the
 /// next instruction. Skipping a `Jump` skips only a `tick()`.
 fn thread_jumps(func: &mut IrFunc) -> bool {
-    let code_ref = func.code.clone();
+    // Where each pc jumps unconditionally; any other pc maps to itself,
+    // which ends a chain exactly as a self-loop does.
+    let hop: Vec<u32> = func
+        .code
+        .iter()
+        .enumerate()
+        .map(|(pc, inst)| match inst {
+            Inst::Jump { target } => *target,
+            _ => pc as u32,
+        })
+        .collect();
     let thread = |mut t: u32| -> u32 {
         for _ in 0..8 {
-            match code_ref.get(t as usize) {
-                Some(Inst::Jump { target }) if *target != t => t = *target,
+            match hop.get(t as usize) {
+                Some(&next) if next != t => t = next,
                 _ => break,
             }
         }
@@ -377,11 +420,10 @@ fn thread_jumps(func: &mut IrFunc) -> bool {
 /// consumer run the producer first) and the producer's result to be dead
 /// after the consumer (liveness), making the intermediate unobservable.
 #[allow(clippy::too_many_lines)]
-fn fuse_pairs(func: &mut IrFunc) -> bool {
+fn fuse_pairs(func: &mut IrFunc, lv: &Liveness) -> bool {
     if func.code.is_empty() {
         return false;
     }
-    let lv = Liveness::compute(func);
     // Jump targets are always block starts (a lowering invariant `link`
     // preserves), so the block table is the complete set of join points.
     let is_join = |pc: usize| func.block_pc.binary_search(&(pc as u32)).is_ok();
@@ -564,11 +606,7 @@ fn fold_binary_int(op: BinOp, ity: IntTy, a: i128, b: i128) -> Option<(IntTy, i1
 /// Fallible producers (`SlotLoc`, `Load`, `BoolOf`, …) and event sources
 /// (`StrLit` interns) must stay even when dead: their error or event is
 /// the observable.
-fn delete_dead(func: &mut IrFunc) -> bool {
-    if func.code.is_empty() {
-        return false;
-    }
-    let lv = Liveness::compute(func);
+fn delete_dead(func: &mut IrFunc, lv: &Liveness) -> bool {
     let keep: Vec<bool> = func
         .code
         .iter()
@@ -594,10 +632,10 @@ fn delete_dead(func: &mut IrFunc) -> bool {
 
 // ── Code compaction ─────────────────────────────────────────────────────
 
-/// Drop the instructions marked `false` in `keep`, remapping jump targets
-/// and the block table. A deleted instruction always behaves as a
-/// fall-through (that is what made it deletable), so a target pointing at
-/// one maps to the next surviving pc.
+/// Drop the instructions marked `false` in `keep`, in place, remapping
+/// jump targets and the block table. A deleted instruction always behaves
+/// as a fall-through (that is what made it deletable), so a target
+/// pointing at one maps to the next surviving pc.
 pub(crate) fn compact(func: &mut IrFunc, keep: &[bool]) -> bool {
     if keep.iter().all(|&k| k) {
         return false;
@@ -612,26 +650,25 @@ pub(crate) fn compact(func: &mut IrFunc, keep: &[bool]) -> bool {
         n += u32::from(k);
     }
     new_pc.push(n);
-    let old = std::mem::take(&mut func.code);
-    for (inst, &k) in old.into_iter().zip(keep) {
-        if !k {
-            continue;
-        }
-        let mut inst = inst;
-        match &mut inst {
-            Inst::Jump { target }
-            | Inst::JumpIfFalse { target, .. }
-            | Inst::JumpIfTrue { target, .. } => *target = new_pc[*target as usize],
-            Inst::SwitchInt { cases, end, .. } => {
-                for (_, t) in cases.iter_mut() {
-                    *t = new_pc[*t as usize];
+    let mut keep = keep.iter();
+    func.code.retain_mut(|inst| {
+        let k = *keep.next().expect("one keep flag per instruction");
+        if k {
+            match inst {
+                Inst::Jump { target }
+                | Inst::JumpIfFalse { target, .. }
+                | Inst::JumpIfTrue { target, .. } => *target = new_pc[*target as usize],
+                Inst::SwitchInt { cases, end, .. } => {
+                    for (_, t) in cases.iter_mut() {
+                        *t = new_pc[*t as usize];
+                    }
+                    *end = new_pc[*end as usize];
                 }
-                *end = new_pc[*end as usize];
+                _ => {}
             }
-            _ => {}
         }
-        func.code.push(inst);
-    }
+        k
+    });
     for pc in &mut func.block_pc {
         *pc = new_pc[*pc as usize];
     }
@@ -822,6 +859,178 @@ mod tests {
         // The jump-to-next is gone; the conditional jump lands on RetVoid.
         assert!(matches!(code[0], Inst::JumpIfTrue { target, .. }
             if matches!(code[target as usize], Inst::RetVoid)), "{code:?}");
+    }
+
+    /// The textbook round-robin fixpoint, as the reference for
+    /// [`Liveness::compute`]: sweep every pc from high to low, with a fresh
+    /// row per pc, until a whole sweep changes nothing.
+    fn round_robin_live_in(func: &IrFunc) -> Vec<u64> {
+        let n = func.code.len();
+        let words = (func.n_regs as usize).div_ceil(64).max(1);
+        let mut live_in = vec![0u64; n * words];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for pc in (0..n).rev() {
+                let mut out = vec![0u64; words];
+                successors(&func.code, pc, |s| {
+                    if s < n {
+                        for (w, o) in out.iter_mut().enumerate() {
+                            *o |= live_in[s * words + w];
+                        }
+                    }
+                });
+                if let Some(d) = def_of(&func.code[pc]) {
+                    out[d as usize / 64] &= !(1u64 << (d % 64));
+                }
+                for_each_use(&func.code[pc], |r| {
+                    out[r as usize / 64] |= 1u64 << (r % 64);
+                });
+                let row = &mut live_in[pc * words..(pc + 1) * words];
+                if row != &out[..] {
+                    row.copy_from_slice(&out);
+                    changed = true;
+                }
+            }
+        }
+        live_in
+    }
+
+    /// Compare every function's liveness with the reference, row by row,
+    /// and return the most sweeps any function needed.
+    fn check_least_fixpoint(ir: &IrProgram, stage: &str) -> usize {
+        let mut most = 0;
+        for f in &ir.funcs {
+            let (lv, sweeps) = Liveness::fixpoint(f);
+            let want = round_robin_live_in(f);
+            let w = lv.words;
+            for pc in 0..f.code.len() {
+                assert_eq!(
+                    lv.live_in[pc * w..(pc + 1) * w],
+                    want[pc * w..(pc + 1) * w],
+                    "{stage} {} pc {pc}: {:?}",
+                    f.name,
+                    f.code[pc]
+                );
+            }
+            most = most.max(sweeps);
+        }
+        most
+    }
+
+    /// Loop-heavy programs: nested and sequential loops, `continue` and
+    /// `break`, `switch` inside a loop, and locals carried around every
+    /// back edge (registers, once the fast pipeline promotes them).
+    const LOOPY: &[&str] = &[
+        // The `control_flow` IR golden program.
+        "
+        int main(void) {
+          int s = 0;
+          for (int i = 0; i < 8; i++) {
+            if (i % 2 == 0) continue;
+            s += i;
+          }
+          while (s > 10) { s -= 3; }
+          do { s++; } while (s < 5 && s != 4);
+          switch (s) {
+            case 4: s = 40; break;
+            case 5: s = 50;
+            default: s += 1;
+          }
+          return s ? s : -1;
+        }",
+        "
+        int main(void) {
+          long acc = 0;
+          int k = 3;
+          for (int i = 0; i < 4; i++) {
+            for (int j = 0; j < i; j++) {
+              int t = 0;
+              while (t < j) { t++; if (t == 2) break; }
+              acc += t * k;
+            }
+            k = k + (int)acc % 5;
+          }
+          return (int)acc;
+        }",
+        "
+        int collatz(int n) {
+          int steps = 0;
+          while (n != 1) { n = n % 2 ? 3 * n + 1 : n / 2; steps++; }
+          return steps;
+        }
+        int main(void) {
+          int best = 0, arg = 0;
+          for (int n = 1; n < 12; n++) {
+            int c = collatz(n);
+            switch (c % 3) {
+              case 0: continue;
+              case 1: if (c > best) { best = c; arg = n; } break;
+              default: do { c -= 2; } while (c > 0);
+            }
+          }
+          return best * 100 + arg;
+        }",
+    ];
+
+    #[test]
+    fn liveness_is_the_least_fixpoint_on_lowered_programs() {
+        let (mut raw, mut opt, mut fast) = (0, 0, 0);
+        for src in LOOPY {
+            let prog = crate::compile(src, &crate::Profile::cerberus()).expect("compiles");
+            raw = raw.max(check_least_fixpoint(&super::super::lower(&prog), "raw"));
+            opt = opt.max(check_least_fixpoint(&super::super::lower_opt(&prog), "opt"));
+            fast = fast.max(check_least_fixpoint(
+                &super::super::lower_fast(&prog),
+                "fast",
+            ));
+        }
+        // Promoted locals are registers live across back edges, so the
+        // fast pipeline's loops take a repeat sweep.
+        assert!(fast >= 2, "sweeps: raw {raw}, opt {opt}, fast {fast}");
+    }
+
+    /// Nested loops that carry `r0` across both back edges, and a
+    /// self-loop `Jump`. `r0` reaches the inner header only through the
+    /// outer back edge (sweep 2) and the inner body only through the inner
+    /// back edge after that (sweep 3).
+    #[test]
+    fn liveness_across_nested_back_edges_takes_three_sweeps() {
+        let int = |dst, v| Inst::ConstInt {
+            dst,
+            ity: IntTy::Int,
+            v,
+        };
+        let ir = func(
+            vec![
+                int(0, 5),                                // 0: r0 = x
+                int(1, 2),                                // 1
+                Inst::Move { dst: 2, src: 0 },            // 2: outer header reads r0
+                Inst::JumpIfFalse { src: 1, target: 10 }, // 3: outer exit
+                int(3, 2),                                // 4
+                Inst::JumpIfFalse { src: 3, target: 8 },  // 5: inner header
+                int(3, 0),                                // 6
+                Inst::Jump { target: 5 },                 // 7: inner back edge
+                int(1, 0),                                // 8
+                Inst::Jump { target: 2 },                 // 9: outer back edge
+                Inst::JumpIfTrue { src: 2, target: 12 },  // 10
+                Inst::Jump { target: 11 },                // 11: self-loop
+                Inst::Ret { src: 2 },                     // 12
+            ],
+            4,
+            vec![0, 2, 4, 5, 6, 8, 10, 11, 12],
+        );
+        let f = &ir.funcs[0];
+        let (lv, sweeps) = Liveness::fixpoint(f);
+        assert_eq!(lv.live_in, round_robin_live_in(f));
+        assert_eq!(sweeps, 3);
+        for pc in [2, 5, 6, 7, 9] {
+            assert!(lv.is_live_in(pc, 0), "r0 dead at pc {pc}");
+        }
+        assert!(
+            (0..4).all(|r| !lv.is_live_in(11, r)),
+            "self-loop has live registers"
+        );
     }
 
     /// Optimising twice changes nothing: the rounds loop reached a real

@@ -15,8 +15,11 @@
 //!   a comma-separated list of profile names; any spec or name may carry
 //!   an `@fast` suffix selecting the register-promoting fast mode (a
 //!   distinct compile-cache key);
-//! * `<file.c>` — the program, resolved relative to the manifest (or to
-//!   the working directory for jobs streamed over `--serve` stdin).
+//! * `<file.c>` — the program: the rest of the line, so the name may
+//!   contain spaces, resolved relative to the manifest (or to the working
+//!   directory for jobs streamed over `--serve` stdin).
+//!
+//! Fields are separated by any run of whitespace.
 //!
 //! Example:
 //!
@@ -302,9 +305,15 @@ pub fn parse_job_line(
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
     }
-    let mut parts = line.splitn(3, char::is_whitespace);
-    let (Some(mode), Some(profiles), Some(file)) = (parts.next(), parts.next(), parts.next())
-    else {
+    // Mode and profiles are the first two whitespace-separated fields;
+    // the file is the rest of the line, so its name may contain spaces.
+    let fields = line
+        .split_once(char::is_whitespace)
+        .and_then(|(mode, rest)| {
+            let (profiles, file) = rest.trim_start().split_once(char::is_whitespace)?;
+            Some((mode, profiles, file.trim_start()))
+        });
+    let Some((mode, profiles, file)) = fields else {
         return Err(format!(
             "malformed job line {line:?} \
              (expected: <run|lint|trace-diff|engine-diff|lint-check> <profiles> <file.c>)"
@@ -314,7 +323,6 @@ pub fn parse_job_line(
         format!("unknown mode {mode} (expected run, lint, trace-diff, engine-diff or lint-check)")
     })?;
     let profiles = profiles_from_spec(profiles)?;
-    let file = file.trim();
     let path = match base_dir {
         Some(dir) => dir.join(file),
         None => std::path::PathBuf::from(file),

@@ -188,15 +188,19 @@ fn manifest_lines_parse_and_reject() {
     std::fs::write(dir.join("p.c"), OK_PROGRAM).unwrap();
     std::fs::write(
         dir.join("jobs.txt"),
-        "# demo\nrun cerberus p.c\nlint compared p.c\n",
+        "# demo\nrun cerberus p.c\nlint compared p.c\nlint  compared   p.c\n",
     )
     .unwrap();
     let jobs = crate::job::load_manifest(dir.join("jobs.txt").to_str().unwrap()).unwrap();
-    assert_eq!(jobs.len(), 2);
+    assert_eq!(jobs.len(), 3);
     assert_eq!(jobs[0].id, "2:p.c");
     assert_eq!(jobs[0].mode, Mode::Run);
     assert_eq!(jobs[1].mode, Mode::Lint);
     assert_eq!(jobs[1].profiles.len(), 7);
+    // Repeated spaces between fields separate them like single ones.
+    assert_eq!(jobs[2].id, "4:p.c");
+    assert_eq!(jobs[2].mode, Mode::Lint);
+    assert_eq!(jobs[2].profiles.len(), 7);
 }
 
 #[test]

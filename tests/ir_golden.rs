@@ -9,13 +9,19 @@
 //! lowering, the optimiser *or* the escape-analysis promotion shows up
 //! as a reviewable diff rather than silently shifting what the VM runs.
 //!
+//! A property test beside the goldens checks, over the oracle corpus and
+//! the Table-1 suite, that optimising already-optimised IR changes
+//! nothing.
+//!
 //! Regenerate after an intentional lowering change:
 //! `CHERI_GOLDEN_BLESS=1 cargo test --test ir_golden`.
 
 use std::path::PathBuf;
 
+use cheri_bench::progen::generate_traced;
 use cheri_c::core::{compile_for, ir, Profile};
 use cheri_cap::MorelloCap;
+use cheri_testsuite::all_tests;
 
 /// Three programs chosen to cover the lowering surface: straight-line
 /// arithmetic with calls, every loop/branch construct (explicit jumps),
@@ -154,4 +160,55 @@ fn ir_rendering_is_deterministic() {
             "{name} fast render unstable"
         );
     }
+}
+
+/// The optimised IR is a peephole fixpoint: optimising it again changes
+/// nothing, in both pipelines, over the oracle corpus and the Table-1
+/// suite. This guards the rounds loop, which must stop only once a round
+/// finds nothing to rewrite.
+#[test]
+fn optimized_ir_is_a_peephole_fixpoint() {
+    let profiles = [
+        Profile::cerberus(),
+        Profile::clang_morello(true),
+        Profile::iso_baseline(),
+    ];
+    let corpus = (0..256u64).flat_map(|seed| {
+        [false, true].map(|buggy| {
+            (
+                format!("seed {seed} buggy={buggy}"),
+                generate_traced(seed, buggy).source(),
+            )
+        })
+    });
+    let table1 = all_tests()
+        .into_iter()
+        .map(|t| (t.id.to_string(), t.source.to_string()));
+    let mut failures = Vec::new();
+    let mut compiled = 0;
+    for (name, src) in corpus.chain(table1) {
+        for profile in &profiles {
+            let Ok(prog) = compile_for::<MorelloCap>(&src, profile) else {
+                continue; // front-end errors never reach the optimiser
+            };
+            compiled += 1;
+            for (stage, mut once) in [
+                ("opt", ir::lower_opt(&prog)),
+                ("fast", ir::lower_fast(&prog)),
+            ] {
+                let before = once.render();
+                ir::peephole::optimize(&mut once);
+                if once.render() != before {
+                    failures.push(format!("{name} under {} ({stage})", profile.name));
+                }
+            }
+        }
+    }
+    assert!(compiled > 1500, "only {compiled} programs compiled");
+    assert!(
+        failures.is_empty(),
+        "{} optimised program(s) changed when optimised again:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
 }
