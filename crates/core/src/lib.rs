@@ -58,22 +58,40 @@ pub fn compile(src: &str, profile: &Profile) -> Result<tast::TProgram, String> {
     compile_for::<MorelloCap>(src, profile)
 }
 
-/// [`compile`] for an explicit capability model (the pointer size differs).
+/// [`compile`] for an explicit capability model (the pointer size differs):
+/// [`front_end`] for the profile's [`ptr_size_for`], then
+/// [`opt::optimize`] with its flags.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message on parse or type errors.
 pub fn compile_for<C: Capability>(src: &str, profile: &Profile) -> Result<tast::TProgram, String> {
-    let layout = TargetLayout {
-        ptr_size: if profile.mem.capabilities {
-            C::CAP_BYTES as u64
-        } else {
-            u64::from(C::ADDR_BITS / 8)
-        },
-    };
-    let parsed = parse::parse(src, layout).map_err(|e| e.to_string())?;
-    let prog = typeck::check(parsed).map_err(|e| e.to_string())?;
-    Ok(opt::optimize(prog, &profile.opt))
+    front_end(src, ptr_size_for::<C>(profile)).map(|prog| opt::optimize(prog, &profile.opt))
+}
+
+/// Parse and type-check a program whose pointers (and `(u)intptr_t`)
+/// occupy `ptr_size` bytes. This is everything [`compile_for`] does before
+/// the profile's optimisation flags come in, so every profile with the
+/// same pointer size shares its result.
+///
+/// # Errors
+///
+/// Returns a human-readable message on parse or type errors.
+pub fn front_end(src: &str, ptr_size: u64) -> Result<tast::TProgram, String> {
+    let parsed = parse::parse(src, TargetLayout { ptr_size }).map_err(|e| e.to_string())?;
+    typeck::check(parsed).map_err(|e| e.to_string())
+}
+
+/// The stored-pointer size in bytes under `profile` and capability model
+/// `C`: the capability size, or the machine-word size when the profile
+/// runs without capabilities (the ISO baseline).
+#[must_use]
+pub fn ptr_size_for<C: Capability>(profile: &Profile) -> u64 {
+    if profile.mem.capabilities {
+        C::CAP_BYTES as u64
+    } else {
+        u64::from(C::ADDR_BITS / 8)
+    }
 }
 
 /// Run a CHERI C program under a profile with the Morello capability model.

@@ -26,7 +26,7 @@ use crate::typeck::fold_const;
 /// Apply the optimisation-effect passes enabled in `opt` to the program.
 #[must_use]
 pub fn optimize(mut prog: TProgram, opt: &OptFlags) -> TProgram {
-    if !opt.fold_transient_arith && !opt.loops_to_memcpy {
+    if !opt.rewrites_ast() {
         return prog;
     }
     let funcs = std::mem::take(&mut prog.funcs);

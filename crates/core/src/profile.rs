@@ -71,6 +71,15 @@ impl OptFlags {
         self.register_promote = true;
         self
     }
+
+    /// Does [`crate::opt::optimize`] rewrite anything under these flags?
+    /// When it does not, the type-checked program is already the
+    /// optimised one, so compilations that differ only in other flags can
+    /// share it.
+    #[must_use]
+    pub fn rewrites_ast(&self) -> bool {
+        self.fold_transient_arith || self.loops_to_memcpy
+    }
 }
 
 /// A complete implementation profile: how to run a CHERI C program.

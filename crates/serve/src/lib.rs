@@ -12,10 +12,12 @@
 //!   source, a profile set, and a mode — [`Mode::Run`] (execute),
 //!   [`Mode::Lint`] (static analysis), or [`Mode::TraceDiff`] (execute
 //!   under every profile and diff the event streams against the first).
-//! * **A content-hash program cache** ([`cache`]): programs are parsed,
-//!   type-checked and lowered **once** per [`CompileKey`] (source hash ×
-//!   pointer size × optimisation fingerprint) and shared immutably via
-//!   [`std::sync::Arc`] across profiles, jobs and worker threads.
+//! * **A program cache** ([`cache`]): a program is parsed and
+//!   type-checked **once** per pointer size, then optimised and lowered
+//!   **once** per compile key (source × pointer size × optimisation
+//!   fingerprint, see [`CompileKey`]), and every result is shared
+//!   immutably via [`std::sync::Arc`] across profiles, jobs and worker
+//!   threads. Entries are keyed on the source text, not on a hash of it.
 //! * **A worker pool with arena reuse** ([`service`]): jobs fan out over
 //!   `std::thread` workers pulling from a shared queue; each worker keeps
 //!   one [`cheri_mem::CheriMemory`] arena and *resets* it between jobs

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use cheri_core::{CheriotCap, MorelloCap, Profile};
 
 use crate::cache::{CompileKey, ProgramCache};
-use crate::job::{parse_job_line, profiles_from_spec, JobSpec, Mode};
-use crate::service::{run_batch, Service};
+use crate::job::{fast_variant, parse_job_line, profiles_from_spec, JobSpec, Mode};
+use crate::service::{execute_job, run_batch, Service};
 
 fn job(id: &str, src: &str, profiles: Vec<Profile>, mode: Mode) -> JobSpec {
     JobSpec {
@@ -70,6 +70,86 @@ fn cache_caches_front_end_errors() {
     assert_eq!(e1, e2);
     assert_eq!(cache.len(), 1);
     assert_eq!(cache.hits(), 1);
+}
+
+#[test]
+fn colliding_sources_keep_their_own_compilations() {
+    // The FNV-1a state is equal after these two string literals, so the
+    // sources share a hash (and would with any common suffix). Run alone
+    // they exit '8' and '2'; a cache keyed on the hash alone would run
+    // whichever it compiled first for both.
+    let a = r#"int main(void) { const char *s = "83150c83c4bdbedb"; return s[0]; }"#;
+    let b = r#"int main(void) { const char *s = "281ef3cd6bf0e9f9"; return s[0]; }"#;
+    let p = Profile::cerberus();
+    assert_eq!(
+        CompileKey::for_profile::<MorelloCap>(a, &p),
+        CompileKey::for_profile::<MorelloCap>(b, &p),
+        "the pair must collide for this test to mean anything"
+    );
+    let cache = ProgramCache::new();
+    let mut arena = None;
+    for (src, want) in [(a, "exit(56)"), (b, "exit(50)")] {
+        let out = execute_job::<MorelloCap>(
+            &cache,
+            &job("c", src, Profile::all_compared(), Mode::Run),
+            &mut arena,
+        );
+        for po in &out.profiles {
+            assert_eq!(po.outcome, want, "{}: {src}", po.profile);
+        }
+    }
+}
+
+#[test]
+fn keys_that_rewrite_nothing_share_the_typed_program() {
+    let cache = ProgramCache::new();
+    let unit = |p: &Profile| cache.get_or_compile::<MorelloCap>(OK_PROGRAM, p).unwrap();
+    let o0 = unit(&Profile::cerberus());
+    let o0_fast = unit(&fast_variant(Profile::cerberus()));
+    let o3 = unit(&Profile::clang_morello(true));
+    let iso = unit(&Profile::iso_baseline());
+    assert!(!Arc::ptr_eq(&o0, &o0_fast), "the fast bit is its own key");
+    assert!(
+        Arc::ptr_eq(&o0.tast, &o0_fast.tast),
+        "-O0 keys hold the front end's typed program itself"
+    );
+    assert!(
+        !Arc::ptr_eq(&o3.tast, &o0.tast),
+        "-O3 optimises its own clone"
+    );
+    assert!(
+        !Arc::ptr_eq(&iso.tast, &o0.tast),
+        "another pointer size, another front end"
+    );
+    assert!(!Arc::ptr_eq(&iso.tast, &o3.tast));
+    assert_eq!(cache.len(), 4);
+}
+
+#[test]
+fn front_end_errors_match_compile_for_under_every_profile() {
+    let lex_error = "int main(void) { return 1 @ 2; }";
+    let parse_error = "int main(void) {";
+    let type_error = "int main(void) { return undeclared; }";
+    assert!(cheri_core::lex::lex(lex_error).is_err());
+    assert!(cheri_core::lex::lex(parse_error).is_ok());
+    assert!(
+        cheri_core::parse::parse(type_error, cheri_core::types::TargetLayout::default()).is_ok()
+    );
+
+    let profiles = profiles_from_spec("all").unwrap();
+    let cache = ProgramCache::new();
+    let mut arena = None;
+    for src in [lex_error, parse_error, type_error] {
+        let out = execute_job::<MorelloCap>(
+            &cache,
+            &job("e", src, profiles.clone(), Mode::Run),
+            &mut arena,
+        );
+        for (p, po) in profiles.iter().zip(&out.profiles) {
+            let m = cheri_core::compile_for::<MorelloCap>(src, p).unwrap_err();
+            assert_eq!(po.outcome, format!("error: {m}"), "{}: {src}", p.name);
+        }
+    }
 }
 
 #[test]

@@ -1,16 +1,19 @@
 //! Satellite QC property: the `cheri-serve` program cache is *sound* —
 //! executing a cached, `Arc`-shared compilation through a recycled memory
 //! arena is indistinguishable from the fresh
-//! parse → typecheck → lower → run pipeline, across all 7 compared
-//! profiles (PR 9).
+//! parse → typecheck → lower → run pipeline, across the 7 compared
+//! profiles, the ISO baseline and two fast-mode profiles.
 //!
-//! The cache key (source hash × pointer size × optimisation fingerprint)
-//! claims everything else about a profile is a runtime axis; this property
-//! is the claim's test. It drives random `progen` programs through one
-//! long-lived single-worker service (so the same cache entries and the
-//! same recycled arena serve every profile and case) and compares each
-//! per-profile result field against `cheri_core::run_with` on a fresh
-//! world.
+//! The cache key (source × pointer size × optimisation fingerprint)
+//! claims everything else about a profile is a runtime axis, and the
+//! cache shares one typed program between the keys of a source and
+//! pointer size; this property is the claims' test. The profile list
+//! gives one source two pointer sizes, `-O0` and `-O3`, and both fast
+//! pipelines. It drives random `progen` programs through one long-lived
+//! single-worker service (so the same cache entries and the same recycled
+//! arena serve every profile and case) and compares each per-profile
+//! result field against `cheri_core::run_with` on a fresh world, which
+//! lowers fast profiles through the same `lower_for`.
 //!
 //! Replay a failure: `CHERI_QC_SEED=<seed> cargo test -q cache_qc`.
 
@@ -18,7 +21,7 @@ use std::sync::Arc;
 
 use cheri_bench::progen::generate_traced;
 use cheri_c::core::{run_with, Profile};
-use cheri_c::serve::{execute_job, JobSpec, Mode, ProgramCache};
+use cheri_c::serve::{execute_job, fast_variant, JobSpec, Mode, ProgramCache};
 use cheri_cap::MorelloCap;
 use cheri_mem::CheriMemory;
 use cheri_qc::prop::{check, Config};
@@ -39,6 +42,13 @@ fn cache_qc_cached_execution_equals_fresh_pipeline() {
     let cache = ProgramCache::new();
     let arena = std::cell::RefCell::new(None::<CheriMemory<MorelloCap>>);
     let cache = &cache;
+    let mut profiles = Profile::all_compared();
+    profiles.extend([
+        Profile::iso_baseline(),
+        fast_variant(Profile::cerberus()),
+        fast_variant(Profile::clang_morello(true)),
+    ]);
+    let profiles = &profiles;
     check(
         "cache_qc_cached_equals_fresh",
         Config::cases(qc_cases()),
@@ -48,7 +58,7 @@ fn cache_qc_cached_execution_equals_fresh_pipeline() {
             let spec = JobSpec {
                 id: format!("qc-{seed}"),
                 source: Arc::new(src.clone()),
-                profiles: Profile::all_compared(),
+                profiles: profiles.clone(),
                 mode: Mode::Run,
             };
             let out = execute_job::<MorelloCap>(cache, &spec, &mut arena.borrow_mut());
