@@ -22,12 +22,15 @@
 //!   per program: both engines, any divergence is an erroring outcome;
 //! * `lint-check.txt` — one `lint-check compared seed<N>-<B>.c` line per
 //!   program: dynamic outcome vs static verdict, any soundness violation
-//!   is an erroring outcome.
+//!   is an erroring outcome;
+//! * `run.txt`, `lint.txt` and `trace-diff.txt` — the same programs under
+//!   the `run`, `lint` and `trace-diff` modes, so that every batch mode
+//!   can be compared byte for byte between two builds.
 //!
-//! `cheri-c --batch` exits non-zero if any job errs, so the manifests
-//! are CI gates on their own; the batch output is byte-deterministic
-//! across worker counts, which CI pins once per sweep by comparing the
-//! `--jobs max` bytes against `--jobs 1`.
+//! `cheri-c --batch` exits non-zero if any job errs, so the gate
+//! manifests are CI gates on their own; the batch output is
+//! byte-deterministic across worker counts, which CI pins once per sweep
+//! by comparing the `--jobs max` bytes against `--jobs 1`.
 
 #![forbid(unsafe_code)]
 
@@ -46,26 +49,32 @@ fn main() {
     let dir = Path::new(&out_dir);
     std::fs::create_dir_all(dir).expect("create corpus dir");
 
-    let mut engine_diff = String::from(
-        "# engine differential: tree vs bytecode over the oracle corpus\n",
-    );
-    let mut lint_check = String::from(
-        "# lint soundness: static verdict vs dynamic outcome over the oracle corpus\n",
-    );
+    // One manifest per batch mode, written to `<mode>.txt`.
+    let mut manifests = [
+        ("engine-diff", "engine differential: tree vs bytecode"),
+        ("lint-check", "lint soundness: static verdict vs dynamic outcome"),
+        ("run", "run every compared profile"),
+        ("lint", "lint report under every compared profile"),
+        ("trace-diff", "cross-profile event-stream diff"),
+    ]
+    .map(|(mode, what)| (mode, format!("# {what} over the oracle corpus\n")));
     let mut programs = 0u64;
     for seed in 0..seeds {
         for buggy in [false, true] {
             let name = format!("seed{seed}-{}.c", u8::from(buggy));
             let src = generate_traced(seed, buggy).source();
             std::fs::write(dir.join(&name), src).expect("write corpus program");
-            let _ = writeln!(engine_diff, "engine-diff compared {name}");
-            let _ = writeln!(lint_check, "lint-check compared {name}");
+            for (mode, text) in &mut manifests {
+                let _ = writeln!(text, "{mode} compared {name}");
+            }
             programs += 1;
         }
     }
-    std::fs::write(dir.join("engine-diff.txt"), engine_diff).expect("write manifest");
-    std::fs::write(dir.join("lint-check.txt"), lint_check).expect("write manifest");
+    for (mode, text) in &manifests {
+        std::fs::write(dir.join(format!("{mode}.txt")), text).expect("write manifest");
+    }
     println!(
-        "wrote {programs} programs ({seeds} seeds x 2 families) and 2 manifests to {out_dir}/"
+        "wrote {programs} programs ({seeds} seeds x 2 families) and {} manifests to {out_dir}/",
+        manifests.len()
     );
 }

@@ -13,6 +13,7 @@ use cheri_cap::{Capability, GhostState, Perms};
 use cheri_mem::{AllocKind, CheriMemory, IntVal, MemError, MemEvent, Provenance, PtrVal, Ub};
 
 use crate::ast::{BinOp, UnOp};
+use crate::lex::Pos;
 use crate::profile::Profile;
 use crate::report::{Outcome, RunResult};
 use crate::tast::*;
@@ -94,13 +95,24 @@ enum Flow<C> {
     Return(Value<C>),
 }
 
-/// Internal error/exit channel.
-pub(crate) enum Stop {
+/// Why a run stopped before `main` returned. Finer than [`Outcome`],
+/// which folds constraint failures, limits and unsupported constructs
+/// into one [`Outcome::Error`].
+#[derive(Debug)]
+pub enum Stop {
+    /// The memory model stopped the run: UB, a hardware trap, or a
+    /// constraint failure ([`MemError::Fail`]).
     Mem(MemError),
+    /// An `assert` failed.
     Assert(String),
+    /// `abort()` was called.
     Abort,
+    /// `exit()` was called with this status.
     Exit(i64),
+    /// A step, call-depth or string-length limit, or an [`Observer`]'s,
+    /// was reached.
     Limit(String),
+    /// The program uses a construct the engine does not support.
     Unsupported(String),
 }
 
@@ -132,8 +144,9 @@ pub(crate) fn exit_code<C: Capability>(v: &Value<C>) -> i64 {
 /// `engine_differential` property test).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// The original recursive AST walker — kept as the differential
-    /// oracle for the bytecode engine (see DESIGN.md §10).
+    /// The recursive AST walker: the differential oracle for the bytecode
+    /// engine (see DESIGN.md §10), and the engine cheri-lint's definite
+    /// pass runs on, under an [`Observer`] (DESIGN.md §9.1).
     Tree,
     /// The flat bytecode VM over the lowered IR (default). Measured with
     /// the `perf` benchmark (`crates/bench/src/bin/perf/README.md`), it is
@@ -142,6 +155,52 @@ pub enum Engine {
     /// set-up are not amortised.
     #[default]
     Bytecode,
+}
+
+/// A conversion that loses capability information without stopping the
+/// run. The tree engine reports each one to its [`Observer`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Conversion {
+    /// Integer arithmetic moved a capability-carrying value outside its
+    /// representable range, so the abstract machine set its ghost state
+    /// (§3.3).
+    GhostedArith,
+    /// A capability-carrying `(u)intptr_t` was narrowed to a plain
+    /// integer type.
+    CapIntNarrowed,
+    /// A pointer was cast to a non-capability integer type.
+    PtrToPlainInt,
+    /// A non-zero non-capability integer was cast to a pointer under a
+    /// profile with capabilities.
+    PlainIntToPtr,
+}
+
+/// Watches a tree-engine run started with [`Interp::run_observed`]. The
+/// bytecode VM never calls one.
+pub trait Observer<C: Capability> {
+    /// Called at every step, after the engine's own step limit is
+    /// checked, with the step count, the current source position and the
+    /// memory.
+    ///
+    /// # Errors
+    ///
+    /// A message that ends the run as [`Stop::Limit`].
+    fn tick(&mut self, steps: u64, pos: Pos, mem: &mut CheriMemory<C>) -> Result<(), String>;
+
+    /// Called when the run performs `conv`, at the position of the
+    /// expression that performs it.
+    fn conversion(&mut self, conv: Conversion, pos: Pos);
+}
+
+/// The end of a run started with [`Interp::run_observed`].
+pub struct Observed<C: Capability> {
+    /// The status `main` returned, or why the run stopped before that.
+    pub end: Result<i64, Stop>,
+    /// The position of the last expression, declaration or global
+    /// initialiser evaluated: where the run stopped.
+    pub pos: Pos,
+    /// The memory instance, with the events its sink still holds.
+    pub mem: CheriMemory<C>,
 }
 
 /// A tree-engine call frame: each local's object and its declared type,
@@ -176,6 +235,10 @@ pub struct Interp<'p, C: Capability> {
     /// The bytes of the C strings a builtin is reading, reused across
     /// calls (see [`Interp::read_c_string`]).
     cstr: Vec<u8>,
+    /// The tree engine's current source position.
+    pos: Pos,
+    /// What watches a tree-engine run (see [`Interp::run_observed`]).
+    observer: Option<&'p mut dyn Observer<C>>,
 }
 
 fn types_size(tt: &TypeTable, ty: &Ty) -> u64 {
@@ -203,6 +266,8 @@ impl<'p, C: Capability> Interp<'p, C> {
             engine: Engine::default(),
             ir_cache: None,
             cstr: Vec::new(),
+            pos: Pos::default(),
+            observer: None,
         }
     }
 
@@ -289,6 +354,22 @@ impl<'p, C: Capability> Interp<'p, C> {
         let events = self.mem.take_events();
         let (result, mem) = self.into_result_and_mem(outcome);
         (result, events, mem)
+    }
+
+    /// Run on the tree engine with `observer` watching, and return the
+    /// typed stop reason, the position reached and the memory. This is
+    /// cheri-lint's definite pass: the same semantics as [`Interp::run`],
+    /// without its output or terminal event.
+    #[must_use]
+    pub fn run_observed(mut self, observer: &'p mut dyn Observer<C>) -> Observed<C> {
+        self.engine = Engine::Tree;
+        self.observer = Some(observer);
+        let end = self.run_inner();
+        Observed {
+            end,
+            pos: self.pos,
+            mem: self.mem,
+        }
     }
 
     /// Run to completion and emit the terminal event into the sink.
@@ -415,6 +496,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             to_kill: Vec::new(),
         };
         for g in &prog.globals {
+            self.pos = g.pos;
             // Zero-initialise statics first (C semantics for objects with
             // static storage duration).
             let (p, ty) = self.globals[&g.name].clone();
@@ -437,6 +519,22 @@ impl<'p, C: Capability> Interp<'p, C> {
             return Err(Stop::Limit("step limit exceeded".into()));
         }
         Ok(())
+    }
+
+    /// The tree engine's step: [`Interp::tick`], then the observer's.
+    fn step(&mut self) -> EResult<()> {
+        self.tick()?;
+        if let Some(obs) = self.observer.as_deref_mut() {
+            obs.tick(self.steps, self.pos, &mut self.mem)
+                .map_err(Stop::Limit)?;
+        }
+        Ok(())
+    }
+
+    fn observe(&mut self, conv: Conversion) {
+        if let Some(obs) = self.observer.as_deref_mut() {
+            obs.conversion(conv, self.pos);
+        }
     }
 
     pub(crate) fn ub(&self, ub: Ub, detail: impl Into<String>) -> Stop {
@@ -480,7 +578,12 @@ impl<'p, C: Capability> Interp<'p, C> {
     /// the result address is set on the derivation-source capability; if
     /// that makes it non-representable, the tag is cleared and — in the
     /// abstract machine — the ghost state records the excursion.
-    pub(crate) fn derive_cap_result(&self, src: &IntVal<C>, ity: IntTy, addr: i128) -> IntVal<C> {
+    pub(crate) fn derive_cap_result(
+        &mut self,
+        src: &IntVal<C>,
+        ity: IntTy,
+        addr: i128,
+    ) -> IntVal<C> {
         let addr = ity.wrap(addr) as u64;
         let ghosted = match src.as_cap() {
             Some(cap) => {
@@ -490,6 +593,7 @@ impl<'p, C: Capability> Interp<'p, C> {
         };
         let mut out = src.derive_with_address(ity.signed(), addr);
         if ghosted {
+            self.observe(Conversion::GhostedArith);
             if let IntVal::Cap { cap, .. } = &mut out {
                 *cap = cap.with_ghost(cap.ghost().join(GhostState::UNSPECIFIED));
             }
@@ -660,15 +764,16 @@ impl<'p, C: Capability> Interp<'p, C> {
     }
 
     fn exec(&mut self, frame: &mut Frame<'p, C>, s: &'p TStmt) -> EResult<Flow<C>> {
-        self.tick()?;
+        self.step()?;
         match s {
             TStmt::Decl {
                 name,
                 ty,
                 is_const,
                 init,
-                ..
+                pos,
             } => {
+                self.pos = *pos;
                 let size = types_size(&self.prog.types, ty);
                 let align = self.prog.types.align_of(ty);
                 let pretty = name.split('#').next().unwrap_or(name);
@@ -838,7 +943,8 @@ impl<'p, C: Capability> Interp<'p, C> {
     }
 
     fn eval(&mut self, frame: &mut Frame<'p, C>, e: &'p TExpr) -> EResult<Value<C>> {
-        self.tick()?;
+        self.step()?;
+        self.pos = e.pos;
         match &e.kind {
             TExprKind::ConstInt(v) => {
                 let ity = e.ty.as_int().unwrap_or(IntTy::Int);
@@ -860,6 +966,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             }
             TExprKind::Load(lv) => {
                 let (p, ty) = self.eval_lvalue(frame, lv)?;
+                self.pos = e.pos;
                 self.load_value(&p, ty)
             }
             TExprKind::AddrOf(lv) | TExprKind::Decay(lv) => {
@@ -882,6 +989,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             } => {
                 let lv = self.eval(frame, lhs)?;
                 let rv = self.eval(frame, rhs)?;
+                self.pos = e.pos;
                 if lv.as_float().is_some() || rv.as_float().is_some() {
                     return self.binary_float(*op, &lv, &rv, &e.ty);
                 }
@@ -901,6 +1009,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             }
             TExprKind::Unary(op, a) => {
                 let av = self.eval(frame, a)?;
+                self.pos = e.pos;
                 self.unary_int(*op, &av, e.ty.as_int().unwrap_or(IntTy::Int))
             }
             TExprKind::PtrAdd {
@@ -911,6 +1020,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             } => {
                 let pv = self.eval(frame, ptr)?;
                 let iv = self.eval(frame, idx)?;
+                self.pos = e.pos;
                 let p = pv
                     .as_ptr()
                     .ok_or_else(|| Stop::Unsupported("pointer arithmetic on non-pointer".into()))?;
@@ -923,6 +1033,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             TExprKind::PtrDiff { a, b, elem } => {
                 let av = self.eval(frame, a)?;
                 let bv = self.eval(frame, b)?;
+                self.pos = e.pos;
                 let (ap, bp) = match (av.as_ptr(), bv.as_ptr()) {
                     (Some(a), Some(b)) => (a, b),
                     _ => return Err(Stop::Unsupported("pointer difference operands".into())),
@@ -936,6 +1047,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             TExprKind::PtrCmp { op, a, b } => {
                 let av = self.eval(frame, a)?;
                 let bv = self.eval(frame, b)?;
+                self.pos = e.pos;
                 let (ap, bp) = match (av.as_ptr(), bv.as_ptr()) {
                     (Some(a), Some(b)) => (a.clone(), b.clone()),
                     _ => return Err(Stop::Unsupported("pointer comparison operands".into())),
@@ -967,6 +1079,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                     // capabilities like memcpy).
                     if let TExprKind::Load(src_lv) = &rhs.kind {
                         let (src, _) = self.eval_lvalue(frame, src_lv)?;
+                        self.pos = e.pos;
                         let n = types_size(&self.prog.types, ty);
                         self.mem.memcpy(&p, &src, n)?;
                         return Ok(Value::Void);
@@ -974,6 +1087,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                     return Err(Stop::Unsupported("aggregate assignment".into()));
                 }
                 let v = self.eval(frame, rhs)?;
+                self.pos = e.pos;
                 self.store_value(&p, ty, &v)?;
                 Ok(v)
             }
@@ -993,6 +1107,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                         _ => return Err(Stop::Unsupported("compound float target".into())),
                     };
                     let rv = self.eval(frame, rhs)?;
+                    self.pos = e.pos;
                     let res = self.binary_float(
                         *op,
                         &Value::Float { fty: common_f, v: cur_f },
@@ -1033,6 +1148,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 };
                 let cur_c = self.convert_int(&cur, lt, ct);
                 let rv = self.eval(frame, rhs)?;
+                self.pos = e.pos;
                 let r = rv
                     .as_int()
                     .cloned()
@@ -1059,6 +1175,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                     _ => return Err(Stop::Unsupported("pointer compound assignment".into())),
                 };
                 let iv = self.eval(frame, idx)?;
+                self.pos = e.pos;
                 let mut i = iv.as_int().map(IntVal::value).unwrap_or(0);
                 if *neg {
                     i = -i;
@@ -1074,6 +1191,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 elem,
             } => {
                 let (p, ty) = self.eval_lvalue(frame, lv)?;
+                self.pos = e.pos;
                 let old = self.load_value(&p, ty)?;
                 let new = match (&old, *elem) {
                     (Value::Ptr(v), elem) if elem > 0 => {
@@ -1097,7 +1215,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 self.store_value(&p, ty, &new)?;
                 Ok(if *prefix { new } else { old })
             }
-            TExprKind::Call { callee, args } => self.eval_call(frame, callee, args),
+            TExprKind::Call { callee, args } => self.eval_call(frame, e.pos, callee, args),
             TExprKind::Cond { c, t, f } => {
                 if self.eval(frame, c)?.truthy() {
                     self.eval(frame, t)
@@ -1120,6 +1238,7 @@ impl<'p, C: Capability> Interp<'p, C> {
         arg: &'p TExpr,
     ) -> EResult<Value<C>> {
         let av = self.eval(frame, arg)?;
+        self.pos = e.pos;
         match kind {
             CastKind::ToVoid => Ok(Value::Void),
             CastKind::ToBool => Ok(Value::Int {
@@ -1133,6 +1252,9 @@ impl<'p, C: Capability> Interp<'p, C> {
                     .as_int()
                     .cloned()
                     .ok_or_else(|| Stop::Unsupported("int cast operand".into()))?;
+                if from.is_capability() && !to.is_capability() && v.is_cap() {
+                    self.observe(Conversion::CapIntNarrowed);
+                }
                 Ok(Value::Int {
                     ity: to,
                     v: self.convert_int(&v, from, to),
@@ -1144,6 +1266,9 @@ impl<'p, C: Capability> Interp<'p, C> {
                     .as_ptr()
                     .cloned()
                     .ok_or_else(|| Stop::Unsupported("pointer cast operand".into()))?;
+                if !to.is_capability() {
+                    self.observe(Conversion::PtrToPlainInt);
+                }
                 let size = types_size(&self.prog.types, &e.ty);
                 let v = self
                     .mem
@@ -1155,6 +1280,9 @@ impl<'p, C: Capability> Interp<'p, C> {
                     .as_int()
                     .cloned()
                     .ok_or_else(|| Stop::Unsupported("int-to-pointer operand".into()))?;
+                if self.profile.mem.capabilities && !v.is_cap() && v.value() != 0 {
+                    self.observe(Conversion::PlainIntToPtr);
+                }
                 Ok(Value::Ptr(self.mem.cast_int_to_ptr(&v)))
             }
             CastKind::IntToFloat => {
@@ -1371,6 +1499,7 @@ impl<'p, C: Capability> Interp<'p, C> {
     fn eval_call(
         &mut self,
         frame: &mut Frame<'p, C>,
+        pos: Pos,
         callee: &'p Callee,
         args: &'p [TExpr],
     ) -> EResult<Value<C>> {
@@ -1379,6 +1508,7 @@ impl<'p, C: Capability> Interp<'p, C> {
         for a in args {
             argv.push(self.eval(frame, a)?);
         }
+        self.pos = pos;
         match callee {
             Callee::Direct(name) => {
                 let f = prog
@@ -1389,6 +1519,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             }
             Callee::Indirect(fe) => {
                 let fv = self.eval(frame, fe)?;
+                self.pos = pos;
                 let p = fv
                     .as_ptr()
                     .ok_or_else(|| Stop::Unsupported("indirect call operand".into()))?;

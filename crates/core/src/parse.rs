@@ -155,6 +155,15 @@ impl Parser {
         })
     }
 
+    /// `ty`, if its size fits in a `u64`: every declared type passes
+    /// here, so no later phase can overflow computing a size.
+    fn sized(&self, ty: Ty) -> PResult<Ty> {
+        match self.types.check_size(&ty) {
+            Ok(()) => Ok(ty),
+            Err(msg) => self.err(msg),
+        }
+    }
+
     fn eat_punct(&mut self, p: &str) -> bool {
         if matches!(self.peek(), Tok::Punct(q) if *q == p) {
             self.bump();
@@ -340,7 +349,7 @@ impl Parser {
                 let (base, _c, _, _) = self.decl_specifiers()?;
                 loop {
                     let d = self.declarator()?;
-                    let ty = (d.wrap)(base.clone());
+                    let ty = self.sized((d.wrap)(base.clone()))?;
                     members.push((d.name, ty));
                     if !self.eat_punct(",") {
                         break;
@@ -348,7 +357,9 @@ impl Parser {
                 }
                 self.expect_punct(";")?;
             }
-            self.types.complete_struct(id, is_union, members);
+            if let Err(msg) = self.types.complete_struct(id, is_union, members) {
+                return self.err(msg);
+            }
             Ok(if is_union { Ty::Union(id) } else { Ty::Struct(id) })
         } else if let Some(tag) = tag {
             match self.struct_tags.get(&tag) {
@@ -513,7 +524,7 @@ impl Parser {
             }
             let d = self.declarator()?;
             names.push(d.name.clone());
-            let mut ty = (d.wrap)(base);
+            let mut ty = self.sized((d.wrap)(base))?;
             if is_const {
                 // const on a parameter's pointee is folded by named_param in
                 // the caller; for the type-only list record const pointees.
@@ -544,7 +555,7 @@ impl Parser {
         if !d.name.is_empty() {
             return self.err("unexpected name in type-name");
         }
-        let ty = (d.wrap)(base);
+        let ty = self.sized((d.wrap)(base))?;
         // `const T *` : the const qualifies the pointee.
         if is_const {
             if let Ty::Ptr { pointee, .. } = ty {
@@ -1157,7 +1168,7 @@ impl Parser {
         let (base, is_const, is_typedef, is_static) = self.decl_specifiers()?;
         if is_typedef {
             let d = self.declarator()?;
-            let ty = (d.wrap)(base);
+            let ty = self.sized((d.wrap)(base))?;
             self.typedefs.insert(d.name, ty);
             self.expect_punct(";")?;
             return Ok(Stmt {
@@ -1176,7 +1187,7 @@ impl Parser {
         let mut decls = Vec::new();
         loop {
             let d = self.declarator()?;
-            let mut ty = (d.wrap)(base.clone());
+            let mut ty = self.sized((d.wrap)(base.clone()))?;
             let mut obj_const = is_const;
             // `const T *p`: const qualifies the pointee, not the object.
             if is_const {
@@ -1252,7 +1263,7 @@ impl Parser {
             let (base, is_const, is_typedef, _is_static) = self.decl_specifiers()?;
             if is_typedef {
                 let d = self.declarator()?;
-                let ty = (d.wrap)(base);
+                let ty = self.sized((d.wrap)(base))?;
                 self.typedefs.insert(d.name, ty);
                 self.expect_punct(";")?;
                 continue;
@@ -1263,7 +1274,7 @@ impl Parser {
             }
             let d = self.declarator()?;
             let own_names = d.own_param_names.clone();
-            let mut ty = (d.wrap)(base.clone());
+            let mut ty = self.sized((d.wrap)(base.clone()))?;
             let mut obj_const = is_const;
             if is_const {
                 if let Ty::Ptr { pointee, .. } = ty.clone() {
@@ -1331,7 +1342,7 @@ impl Parser {
                 }
                 let d2 = self.declarator()?;
                 name = d2.name;
-                gty = (d2.wrap)(base.clone());
+                gty = self.sized((d2.wrap)(base.clone()))?;
             }
             self.expect_punct(";")?;
         }

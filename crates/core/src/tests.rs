@@ -1186,3 +1186,57 @@ fn strlen_and_strcpy_count_bytes_not_utf8() {
 fn strcmp_orders_non_utf8_bytes_as_unsigned_char() {
     expect_on_every_profile_and_engine(NON_UTF8_STRCMP, "-1 1 1\n", 0);
 }
+
+// ── Pointer arithmetic that wraps the address space ──────────────────────
+
+/// An index whose byte offset is a non-zero multiple of 2^64 wraps the
+/// machine address back onto the object. The ISO rule (§3.2) is about the
+/// exact address, so the abstract profiles flag the arithmetic; the
+/// hardware profiles compute the wrapped address and read `a[0]`.
+#[test]
+fn array_index_wrapping_the_address_space_is_out_of_bounds() {
+    use crate::{run_with_engine, Engine, MorelloCap};
+    let src = "long a[2]; int main(void) { return (int)a[0x4000000000000000]; }";
+    for engine in [Engine::Tree, Engine::Bytecode] {
+        for p in [Profile::cerberus(), Profile::iso_baseline()] {
+            let r = run_with_engine::<MorelloCap>(src, &p, engine);
+            match r.outcome {
+                Outcome::Ub { ub, .. } => {
+                    assert_eq!(ub, Ub::OutOfBoundPtrArithmetic, "{} {engine:?}", p.name);
+                }
+                other => panic!("{} {engine:?}: expected UB, got {other}", p.name),
+            }
+        }
+        let r = run_with_engine::<MorelloCap>(src, &Profile::clang_morello(false), engine);
+        assert_eq!(r.outcome, Outcome::Exit(0), "clang-morello-O0 {engine:?}");
+    }
+}
+
+// ── Object sizes beyond 64 bits ──────────────────────────────────────────
+
+/// A type whose size does not fit in 64 bits is a front-end error: a
+/// local, a `sizeof` operand, a struct and an array completed from its
+/// initialiser. Computing such a size used to overflow (a panic in debug
+/// builds, a wrapped size such as 0 in release builds).
+#[test]
+fn types_larger_than_64_bits_are_rejected_by_the_front_end() {
+    let p = Profile::cerberus();
+    for src in [
+        "int main(void) { char big[0x4000000000000000][4]; return 0; }",
+        "int main(void) { return (int)sizeof(char[0x4000000000000000][4]); }",
+        "struct s { char a[0x8000000000000000]; char b[0x8000000000000000]; };\n\
+         int main(void) { struct s *q = 0; return q == 0; }",
+        "char big[][0x4000000000000000] = {{0}, {0}, {0}, {0}};\n\
+         int main(void) { return 0; }",
+    ] {
+        match crate::compile(src, &p) {
+            Err(e) => assert!(e.contains("is too large"), "{src}: {e}"),
+            Ok(_) => panic!("{src}: accepted"),
+        }
+    }
+    // The largest sizes that fit are still computed exactly.
+    expect_exit(
+        "int main(void) { return (int)(sizeof(char[0x4000000000000000][3]) >> 62); }",
+        3,
+    );
+}

@@ -238,7 +238,11 @@ impl Checker {
                 })) => s.len() as u64 + 1,
                 _ => return err(pos, "unsized array needs an initialiser"),
             };
-            return Ok(Ty::Array(elem.clone(), Some(n)));
+            let ty = Ty::Array(elem.clone(), Some(n));
+            return match self.types.check_size(&ty) {
+                Ok(()) => Ok(ty),
+                Err(msg) => err(pos, msg),
+            };
         }
         Ok(ty.clone())
     }

@@ -419,7 +419,8 @@ impl TypeTable {
     /// # Panics
     ///
     /// Panics on `void`, function types and unsized arrays (the type
-    /// checker rejects `sizeof` on those first).
+    /// checker rejects `sizeof` on those first). The parser rejects types
+    /// whose size does not fit in a `u64` ([`TypeTable::check_size`]).
     #[must_use]
     pub fn size_of(&self, ty: &Ty) -> u64 {
         match ty {
@@ -437,6 +438,40 @@ impl TypeTable {
             Ty::Array(_, None) => panic!("sizeof(unsized array)"),
             Ty::Struct(id) | Ty::Union(id) => self.structs[id.0].size,
             Ty::Func { .. } => panic!("sizeof(function)"),
+        }
+    }
+
+    /// Check that the size in bytes of `ty`, and of every type it refers
+    /// to through arrays, pointers and function signatures, fits in a
+    /// `u64`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming `ty` if it does not.
+    pub fn check_size(&self, ty: &Ty) -> Result<(), String> {
+        match self.checked_size(ty) {
+            Some(_) => Ok(()),
+            None => Err(format!(
+                "type `{ty}` is too large: its size does not fit in 64 bits"
+            )),
+        }
+    }
+
+    /// [`TypeTable::size_of`] with overflow checked, over every type `ty`
+    /// refers to; types without a size count as 0.
+    fn checked_size(&self, ty: &Ty) -> Option<u64> {
+        match ty {
+            Ty::Array(elem, n) => self.checked_size(elem)?.checked_mul(n.unwrap_or(0)),
+            Ty::Ptr { pointee, .. } => self.checked_size(pointee).map(|_| self.layout.ptr_size),
+            Ty::Func { ret, params, .. } => {
+                self.checked_size(ret)?;
+                params
+                    .iter()
+                    .try_for_each(|p| self.checked_size(p).map(drop))?;
+                Some(0)
+            }
+            Ty::Void => Some(0),
+            Ty::Int(_) | Ty::Float(_) | Ty::Struct(_) | Ty::Union(_) => Some(self.size_of(ty)),
         }
     }
 
@@ -475,18 +510,30 @@ impl TypeTable {
     }
 
     /// Complete a reserved struct with its members, computing offsets.
+    ///
+    /// # Errors
+    ///
+    /// If the struct's size does not fit in a `u64`; the struct keeps its
+    /// reserved placeholder layout.
     pub fn complete_struct(
         &mut self,
         id: StructId,
         is_union: bool,
         members: Vec<(String, Ty)>,
-    ) {
-        let layout = self.layout_members(is_union, members);
-        let name = self.structs[id.0].name.clone();
+    ) -> Result<(), String> {
+        let name = &self.structs[id.0].name;
+        let layout = self.layout_members(is_union, members).ok_or_else(|| {
+            let kind = if is_union { "union" } else { "struct" };
+            format!("{kind} `{name}` is too large: its size does not fit in 64 bits")
+        })?;
+        let name = name.clone();
         self.structs[id.0] = StructLayout { name, ..layout };
+        Ok(())
     }
 
-    fn layout_members(&self, is_union: bool, members: Vec<(String, Ty)>) -> StructLayout {
+    /// Lay out members whose own sizes fit in a `u64`, or `None` if the
+    /// whole does not.
+    fn layout_members(&self, is_union: bool, members: Vec<(String, Ty)>) -> Option<StructLayout> {
         let mut fields = Vec::new();
         let mut offset = 0u64;
         let mut align = 1u64;
@@ -498,9 +545,9 @@ impl TypeTable {
             let foff = if is_union {
                 0
             } else {
-                offset = (offset + fa - 1) & !(fa - 1);
+                offset = offset.checked_add(fa - 1)? & !(fa - 1);
                 let o = offset;
-                offset += fs;
+                offset = offset.checked_add(fs)?;
                 o
             };
             if is_union {
@@ -515,26 +562,30 @@ impl TypeTable {
         if !is_union {
             size = offset;
         }
-        size = (size + align - 1) & !(align - 1);
-        StructLayout {
+        size = size.checked_add(align - 1)? & !(align - 1);
+        Some(StructLayout {
             name: String::new(),
             is_union,
             fields,
             size: size.max(1),
             align,
-        }
+        })
     }
 
     /// Register a struct/union layout in one step, computing offsets.
+    ///
+    /// # Errors
+    ///
+    /// As [`TypeTable::complete_struct`].
     pub fn define_struct(
         &mut self,
         name: &str,
         is_union: bool,
         members: Vec<(String, Ty)>,
-    ) -> StructId {
+    ) -> Result<StructId, String> {
         let id = self.reserve_struct(name, is_union);
-        self.complete_struct(id, is_union, members);
-        id
+        self.complete_struct(id, is_union, members)?;
+        Ok(id)
     }
 
     /// Find a field by name.
@@ -588,15 +639,17 @@ mod tests {
     #[test]
     fn struct_layout_with_capability_alignment() {
         let mut tt = TypeTable::new(TargetLayout { ptr_size: 16 });
-        let id = tt.define_struct(
-            "s",
-            false,
-            vec![
-                ("c".into(), Ty::Int(IntTy::Char)),
-                ("p".into(), Ty::ptr(Ty::int())),
-                ("n".into(), Ty::int()),
-            ],
-        );
+        let id = tt
+            .define_struct(
+                "s",
+                false,
+                vec![
+                    ("c".into(), Ty::Int(IntTy::Char)),
+                    ("p".into(), Ty::ptr(Ty::int())),
+                    ("n".into(), Ty::int()),
+                ],
+            )
+            .unwrap();
         let s = &tt.structs[id.0];
         assert_eq!(s.fields[0].offset, 0);
         assert_eq!(s.fields[1].offset, 16, "capability field 16-aligned");
@@ -608,14 +661,16 @@ mod tests {
     #[test]
     fn union_layout() {
         let mut tt = TypeTable::new(TargetLayout { ptr_size: 16 });
-        let id = tt.define_struct(
-            "ptr",
-            true,
-            vec![
-                ("ptr".into(), Ty::ptr(Ty::int())),
-                ("iptr".into(), Ty::Int(IntTy::UIntPtr)),
-            ],
-        );
+        let id = tt
+            .define_struct(
+                "ptr",
+                true,
+                vec![
+                    ("ptr".into(), Ty::ptr(Ty::int())),
+                    ("iptr".into(), Ty::Int(IntTy::UIntPtr)),
+                ],
+            )
+            .unwrap();
         let s = &tt.structs[id.0];
         assert!(s.is_union);
         assert_eq!(s.fields[0].offset, 0);

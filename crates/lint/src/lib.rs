@@ -12,15 +12,20 @@
 //! * [`Verdict::MayUb`] — the analysis lost precision and can promise
 //!   neither.
 //!
-//! Architecture: a two-mode abstract interpretation. Mode A ([`exec`])
-//! runs the program over the singleton abstract domain — every value
-//! fully concrete, the store a real [`cheri_mem::CheriMemory`] with the
-//! same capability encoding the interpreter uses — so `MustUb` verdicts
-//! are the memory model itself faulting and `Clean` verdicts are
-//! completed executions. When Mode A exhausts its step budget or meets an
-//! unsupported construct it *widens* to Mode B ([`mayscan`]), a one-pass
-//! syntactic over-approximation that downgrades only the classes the
-//! program could syntactically exhibit to `MayUb`.
+//! Architecture: a two-mode abstract interpretation. Mode A, the
+//! definite pass, runs the program over the singleton abstract domain —
+//! every value fully concrete — and that domain is exactly a concrete
+//! run. So Mode A *is* the interpreter's tree engine
+//! ([`cheri_core::Engine::Tree`]), started with
+//! [`cheri_core::Interp::run_observed`] under an observer that enforces
+//! the lint's step budget and turns the run's memory events and lossy
+//! conversions into positioned cause notes. `MustUb` verdicts are the
+//! memory model itself faulting and `Clean` verdicts are completed
+//! executions, with no second copy of the semantics to drift. When Mode A
+//! exhausts its step budget or call depth, or meets an unsupported
+//! construct, it *widens* to Mode B ([`mayscan`]), a one-pass syntactic
+//! over-approximation that downgrades only the classes the program could
+//! syntactically exhibit to `MayUb`.
 //!
 //! The headline property, enforced by `tests/lint_soundness.rs` over the
 //! oracle-fuzz corpus on every compared profile: every `MustUb` program
@@ -32,19 +37,21 @@
 #![warn(missing_docs)]
 
 pub mod classes;
-pub mod exec;
 pub mod mayscan;
 
+use std::collections::HashMap;
+
 use cheri_cap::Capability;
+use cheri_core::interp::{Conversion, Observer, Stop};
 use cheri_core::lex::Pos;
 use cheri_core::profile::Profile;
 use cheri_core::report::Outcome;
 use cheri_core::tast::TProgram;
-use cheri_core::MorelloCap;
+use cheri_core::{Interp, MorelloCap};
+use cheri_mem::{CheriMemory, MemError, MemEvent, TagClearReason};
 use cheri_obs::{DiagSeverity, Diagnostic};
 
 pub use classes::{class_of_trap, class_of_ub, UbClass, ALL_CLASSES};
-use exec::{Exec, RunEnd};
 
 /// The analyzer's step budget before widening — deliberately far below
 /// the interpreter's 50M so lint always terminates quickly; programs that
@@ -138,7 +145,7 @@ pub struct LintReport {
     /// [`LintMode::Definite`], where it must match the interpreter
     /// bit-for-bit.
     pub predicted: Option<String>,
-    /// Steps the definite executor ran.
+    /// Steps the definite pass ran.
     pub steps: u64,
 }
 
@@ -228,16 +235,14 @@ impl LintReport {
         };
         out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
         if let Some(r) = reason {
-            out.push_str(&format!(
-                "  \"widen_reason\": \"{}\",\n",
-                json_escape_local(r)
-            ));
+            out.push_str("  \"widen_reason\": \"");
+            cheri_obs::render::json_escape(r, &mut out);
+            out.push_str("\",\n");
         }
         if let Some(p) = &self.predicted {
-            out.push_str(&format!(
-                "  \"predicted\": \"{}\",\n",
-                json_escape_local(p)
-            ));
+            out.push_str("  \"predicted\": \"");
+            cheri_obs::render::json_escape(p, &mut out);
+            out.push_str("\",\n");
         }
         out.push_str("  \"classes\": {");
         for (i, (c, v)) in self.verdicts.iter().enumerate() {
@@ -268,39 +273,138 @@ impl LintReport {
     }
 }
 
-fn json_escape_local(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Mode A's observer: it enforces [`LINT_STEP_BUDGET`] and folds what
+/// the run does without stopping — tag clears with their mechanism,
+/// non-representable derivations, representability padding and lossy
+/// conversions (§2.2/§3.3/§3.5) — into cause notes at the current source
+/// position. They explain a fault when one follows.
+#[derive(Default)]
+struct NoteTaker {
+    /// Cause notes in first-occurrence order, deduplicated by class and
+    /// message.
+    notes: Vec<Finding>,
+    index: HashMap<(UbClass, String), usize>,
+    steps: u64,
+}
+
+impl NoteTaker {
+    fn note(&mut self, class: UbClass, anchor: &'static str, message: String, pos: Pos) {
+        let key = (class, message.clone());
+        if let Some(i) = self.index.get(&key) {
+            self.notes[*i].count += 1;
+            return;
+        }
+        self.index.insert(key, self.notes.len());
+        self.notes.push(Finding {
+            severity: DiagSeverity::Note,
+            class,
+            anchor,
+            pos,
+            message,
+            count: 1,
+        });
+    }
+
+    /// Fold the memory events drained since the last harvest into notes
+    /// at `pos`.
+    fn harvest(&mut self, events: Vec<MemEvent>, pos: Pos) {
+        for ev in events {
+            let (class, anchor, message) = match ev {
+                MemEvent::CapTagClear { reason, .. } => match reason {
+                    TagClearReason::MisalignedStore => (
+                        UbClass::Misaligned,
+                        "§3.5",
+                        "capability store at a non-capability-aligned address: stored tag cleared".to_string(),
+                    ),
+                    TagClearReason::NonCapWrite => (
+                        UbClass::TagStripped,
+                        "§3.5/§4.3",
+                        "non-capability data write overlapped a stored capability: tag cleared".to_string(),
+                    ),
+                    TagClearReason::Memcpy => (
+                        UbClass::TagStripped,
+                        "§3.5",
+                        "partial or misaligned memcpy overwrote a capability slot: tag cleared".to_string(),
+                    ),
+                    TagClearReason::Revoked => (
+                        UbClass::UseAfterFree,
+                        "§3.8/§5.4",
+                        "revocation sweep cleared capabilities referring to the freed region".to_string(),
+                    ),
+                },
+                MemEvent::CapDerive { tag_cleared: true, .. } => (
+                    UbClass::TagStripped,
+                    "§3.3",
+                    "pointer arithmetic produced a non-representable capability: tag cleared"
+                        .to_string(),
+                ),
+                MemEvent::RepCheck { padded: true, size, reserved } => (
+                    UbClass::OutOfBounds,
+                    "§2.1/§3.7",
+                    format!(
+                        "allocation padded for bounds representability ({size} requested, {reserved} reserved)"
+                    ),
+                ),
+                _ => continue,
+            };
+            self.note(class, anchor, message, pos);
         }
     }
-    out
+}
+
+impl<C: Capability> Observer<C> for NoteTaker {
+    fn tick(&mut self, steps: u64, pos: Pos, mem: &mut CheriMemory<C>) -> Result<(), String> {
+        self.steps = steps;
+        if steps > LINT_STEP_BUDGET {
+            return Err("step budget exceeded".into());
+        }
+        if steps.is_multiple_of(64) {
+            self.harvest(mem.take_events(), pos);
+        }
+        Ok(())
+    }
+
+    fn conversion(&mut self, conv: Conversion, pos: Pos) {
+        let (class, anchor, message) = match conv {
+            Conversion::GhostedArith => (
+                UbClass::TagStripped,
+                "§3.3",
+                "integer arithmetic moved a capability-carrying value outside its representable range: ghost state set",
+            ),
+            Conversion::CapIntNarrowed => (
+                UbClass::Provenance,
+                "§2.2",
+                "(u)intptr_t narrowed to a plain integer: capability metadata and provenance stripped",
+            ),
+            Conversion::PtrToPlainInt => (
+                UbClass::Provenance,
+                "§2.2",
+                "pointer cast to a non-capability integer type: round-tripping loses the capability",
+            ),
+            Conversion::PlainIntToPtr => (
+                UbClass::Provenance,
+                "§2.2/§4.3",
+                "int→pointer cast from a non-capability integer: provenance recovered by PNVI-ae-udi lookup, capability untagged",
+            ),
+        };
+        self.note(class, anchor, message.to_string(), pos);
+    }
 }
 
 /// Analyze an already-compiled program under a profile with an explicit
 /// capability model.
 #[must_use]
 pub fn lint_program_with<C: Capability>(prog: &TProgram, profile: &Profile) -> LintReport {
-    let report = Exec::<C>::new(prog, profile, LINT_STEP_BUDGET).run();
-    let mut findings: Vec<Finding> = report
-        .notes
-        .iter()
-        .map(|n| Finding {
-            severity: DiagSeverity::Note,
-            class: n.class,
-            anchor: n.anchor,
-            pos: n.pos,
-            message: n.message.clone(),
-            count: n.count,
-        })
-        .collect();
+    let mut taker = NoteTaker::default();
+    let mut interp = Interp::<C>::new(prog, profile);
+    interp.mem.enable_trace();
+    let mut run = interp.run_observed(&mut taker);
+    taker.harvest(run.mem.take_events(), run.pos);
+    let NoteTaker {
+        notes: mut findings,
+        steps,
+        ..
+    } = taker;
     let mut verdicts: Vec<(UbClass, Verdict)> = ALL_CLASSES
         .iter()
         .map(|c| (*c, Verdict::Clean))
@@ -313,56 +417,49 @@ pub fn lint_program_with<C: Capability>(prog: &TProgram, profile: &Profile) -> L
         }
     };
 
-    let (mode, predicted) = match report.end {
-        RunEnd::Fault(e) => {
-            let class = match &e {
-                cheri_mem::MemError::Ub(ub, _) => class_of_ub(*ub),
-                cheri_mem::MemError::Trap(k, _) => class_of_trap(*k),
-                cheri_mem::MemError::Fail(_) => unreachable!("Fail handled as RunEnd::Fail"),
-            };
-            let detail = match &e {
-                cheri_mem::MemError::Ub(_, d) | cheri_mem::MemError::Trap(_, d) => d.clone(),
-                cheri_mem::MemError::Fail(d) => d.clone(),
+    let (mode, predicted) = match run.end {
+        Err(Stop::Mem(MemError::Fail(m))) => {
+            elevate_latent(&mut verdicts, &findings, &set);
+            findings.push(Finding {
+                severity: DiagSeverity::Note,
+                class: UbClass::OutOfBounds,
+                anchor: "§3.7",
+                pos: run.pos,
+                message: format!("constraint failure (not UB): {m}"),
+                count: 1,
+            });
+            (LintMode::Definite, Some(Outcome::Error(m).label()))
+        }
+        Err(Stop::Mem(e)) => {
+            let (class, detail) = match &e {
+                MemError::Ub(ub, d) => (class_of_ub(*ub), d.clone()),
+                MemError::Trap(k, d) => (class_of_trap(*k), d.clone()),
+                MemError::Fail(_) => unreachable!("constraint failures are matched above"),
             };
             set(&mut verdicts, class, Verdict::MustUb);
             findings.push(Finding {
                 severity: DiagSeverity::Must,
                 class,
                 anchor: class.anchor(),
-                pos: report.pos,
+                pos: run.pos,
                 message: detail,
                 count: 1,
             });
             (LintMode::Definite, Some(Outcome::from(e).label()))
         }
-        RunEnd::Exit(c) => {
+        Ok(c) | Err(Stop::Exit(c)) => {
             elevate_latent(&mut verdicts, &findings, &set);
             (LintMode::Definite, Some(Outcome::Exit(c).label()))
         }
-        RunEnd::Assert => {
+        Err(Stop::Assert(m)) => {
             elevate_latent(&mut verdicts, &findings, &set);
-            (
-                LintMode::Definite,
-                Some(Outcome::AssertFailed(String::new()).label()),
-            )
+            (LintMode::Definite, Some(Outcome::AssertFailed(m).label()))
         }
-        RunEnd::Abort => {
+        Err(Stop::Abort) => {
             elevate_latent(&mut verdicts, &findings, &set);
             (LintMode::Definite, Some(Outcome::Abort.label()))
         }
-        RunEnd::Fail(m) => {
-            elevate_latent(&mut verdicts, &findings, &set);
-            findings.push(Finding {
-                severity: DiagSeverity::Note,
-                class: UbClass::OutOfBounds,
-                anchor: "§3.7",
-                pos: report.pos,
-                message: format!("constraint failure (not UB): {m}"),
-                count: 1,
-            });
-            (LintMode::Definite, Some(Outcome::Error(m).label()))
-        }
-        RunEnd::Bail(reason) => {
+        Err(Stop::Limit(reason) | Stop::Unsupported(reason)) => {
             for t in mayscan::scan(prog, profile) {
                 set(&mut verdicts, t.class, Verdict::MayUb);
                 findings.push(Finding {
@@ -383,7 +480,7 @@ pub fn lint_program_with<C: Capability>(prog: &TProgram, profile: &Profile) -> L
         findings,
         mode,
         predicted,
-        steps: report.steps,
+        steps,
     }
 }
 

@@ -1641,21 +1641,24 @@ impl<C: Capability> CheriMemory<C> {
     ///
     /// [`Ub::OutOfBoundPtrArithmetic`] in abstract mode.
     pub fn array_shift(&mut self, p: &PtrVal<C>, elem: u64, index: i64) -> MemResult<PtrVal<C>> {
-        let delta = (elem as i128) * (index as i128);
-        let new_addr = (p.addr() as i128).wrapping_add(delta) as u64;
+        let delta = i128::from(elem) * i128::from(index);
+        // `delta` lies in (-2^127, 2^127 - 2^64], so the exact address
+        // cannot overflow. The machine address wraps; the ISO rule is
+        // checked on the exact one, so an offset that is a non-zero
+        // multiple of 2^64 bytes does not land back on the object.
+        let exact = i128::from(p.addr()) + delta;
+        let new_addr = exact as u64;
         if self.cfg.abstract_ub {
             if let Some(id) = self.resolve_prov(&p.prov, p.addr(), 0)? {
                 let a = self.alloc_ref(id).expect("indexed allocation");
-                if !a.contains_or_one_past(new_addr) {
-                    return Err(MemError::ub(
-                        Ub::OutOfBoundPtrArithmetic,
-                        format!(
-                            "{:#x} is outside [{:#x},{:#x}]",
-                            new_addr,
-                            a.base,
-                            a.end()
-                        ),
-                    ));
+                let inside = a.contains_or_one_past(new_addr);
+                if !inside || i128::from(new_addr) != exact {
+                    let detail = if inside {
+                        format!("an offset of {delta} bytes wraps around to {new_addr:#x}")
+                    } else {
+                        format!("{:#x} is outside [{:#x},{:#x}]", new_addr, a.base, a.end())
+                    };
+                    return Err(MemError::ub(Ub::OutOfBoundPtrArithmetic, detail));
                 }
             }
         }

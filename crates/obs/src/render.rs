@@ -78,8 +78,9 @@ pub fn full_line(ev: &MemEvent) -> String {
     }
 }
 
-/// Escape a string for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str, out: &mut String) {
+/// Escape a string for inclusion in a JSON string literal, appending it
+/// to `out`.
+pub fn json_escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
