@@ -1,11 +1,11 @@
-//! `bench_pr3` — flat-buffer store vs legacy `BTreeMap` store.
+//! `bench_pr3` — the per-allocation byte store's microbenchmarks.
 //!
-//! Measures the PR 3 storage rewrite: per-allocation `Vec<AbsByte>` buffers
-//! plus packed capability-slot bitsets behind a sorted interval index,
-//! against the legacy global per-byte dictionary kept behind
-//! `MemConfig::legacy_store`. Both paths run in the *same* process and the
-//! comparison is written to `BENCH_pr3.json` (path = first CLI argument,
-//! default `./BENCH_pr3.json`).
+//! Times the memory model's storage paths — per-allocation `Vec<AbsByte>`
+//! buffers plus packed capability-slot bitsets behind a sorted interval
+//! index — and writes the results to `BENCH_pr3.json` (path = first CLI
+//! argument, default `./BENCH_pr3.json`). Row ids keep their `/flat`
+//! suffix from when a second store was timed beside this one, because
+//! `bench_pr4` reads `interp_end_to_end/cerberus/flat` from this file.
 //!
 //! Workloads:
 //!
@@ -18,9 +18,8 @@
 //! * `interp_end_to_end` — a whole C program (malloc churn + array sums)
 //!   through parse → typecheck → interpret under the cerberus profile.
 //!
-//! Exit status is non-zero if the flat store is *slower* than the legacy
-//! store on the scalar load/store microbenchmark — the CI perf-smoke gate.
-//! `CHERI_QC_BENCH_FAST=1` shrinks samples for CI.
+//! There is no timing gate; the binary fails only if a workload's sanity
+//! check does. `CHERI_QC_BENCH_FAST=1` shrinks samples for CI.
 
 #![forbid(unsafe_code)]
 
@@ -29,14 +28,9 @@ use std::fmt::Write as _;
 use cheri_bench::MEM_OPS;
 use cheri_core::{Outcome, Profile};
 use cheri_mem::{AddressLayout, CheriMemory, IntVal, MemConfig, MemStats};
-use cheri_qc::bench::{black_box, Bench, Stats};
+use cheri_qc::bench::{black_box, Bench};
 
 type Mem = CheriMemory<cheri_core::MorelloCap>;
-
-fn with_store(mut cfg: MemConfig, legacy: bool) -> MemConfig {
-    cfg.legacy_store = legacy;
-    cfg
-}
 
 /// The `memory_model` scalar workload: MEM_OPS 4-byte stores, then loads.
 fn store_load_workload(cfg: MemConfig) -> i128 {
@@ -106,10 +100,8 @@ int main(void) {
 
 /// Whole-pipeline run under the cerberus profile; returns the memory-model
 /// counters so the JSON records the workload size.
-fn interp_workload(legacy: bool) -> MemStats {
-    let mut profile = Profile::cerberus();
-    profile.mem.legacy_store = legacy;
-    let r = cheri_core::run(CHURN_PROGRAM, &profile);
+fn interp_workload() -> MemStats {
+    let r = cheri_core::run(CHURN_PROGRAM, &Profile::cerberus());
     assert!(
         matches!(r.outcome, Outcome::Exit(0)),
         "end-to-end workload must be well-defined: {:?}",
@@ -129,61 +121,36 @@ fn main() {
     let fast = std::env::var("CHERI_QC_BENCH_FAST").is_ok();
     let mut c = Bench::new();
 
-    for (store, legacy) in [("legacy", true), ("flat", false)] {
-        let reference = with_store(MemConfig::cheri_reference(), legacy);
-        c.bench_function(format!("scalar_store_load/cheri_reference/{store}"), |b| {
-            b.iter(|| black_box(store_load_workload(reference)));
-        });
-        let hardware = with_store(
-            MemConfig::cheri_hardware(AddressLayout::clang_morello()),
-            legacy,
-        );
-        c.bench_function(format!("scalar_store_load/cheri_hardware/{store}"), |b| {
-            b.iter(|| black_box(store_load_workload(hardware)));
-        });
-        c.bench_function(format!("memcpy_4k/cheri_reference/{store}"), |b| {
-            b.iter(|| black_box(memcpy_workload(reference)));
-        });
-        let mut revoking = with_store(
-            MemConfig::cheri_hardware(AddressLayout::clang_morello()),
-            legacy,
-        );
-        revoking.revocation = true;
-        c.bench_function(format!("revocation_sweep/cheri_hardware/{store}"), |b| {
-            b.iter(|| black_box(revocation_workload(revoking)));
-        });
-        c.bench_function(format!("interp_end_to_end/cerberus/{store}"), |b| {
-            b.iter(|| black_box(interp_workload(legacy)));
-        });
-    }
+    let reference = MemConfig::cheri_reference();
+    let hardware = MemConfig::cheri_hardware(AddressLayout::clang_morello());
+    let mut revoking = hardware;
+    revoking.revocation = true;
+    c.bench_function("scalar_store_load/cheri_reference/flat", |b| {
+        b.iter(|| black_box(store_load_workload(reference)));
+    });
+    c.bench_function("scalar_store_load/cheri_hardware/flat", |b| {
+        b.iter(|| black_box(store_load_workload(hardware)));
+    });
+    c.bench_function("memcpy_4k/cheri_reference/flat", |b| {
+        b.iter(|| black_box(memcpy_workload(reference)));
+    });
+    c.bench_function("revocation_sweep/cheri_hardware/flat", |b| {
+        b.iter(|| black_box(revocation_workload(revoking)));
+    });
+    c.bench_function("interp_end_to_end/cerberus/flat", |b| {
+        b.iter(|| black_box(interp_workload()));
+    });
 
-    // Sanity checks shared by both stores: the sweep really revokes, and
-    // the stats plumbing reports the run's operation counts.
-    let revoked = {
-        let mut cfg = MemConfig::cheri_hardware(AddressLayout::clang_morello());
-        cfg.revocation = true;
-        revocation_workload(cfg)
-    };
-    assert!(revoked > 0, "revocation workload must clear tags");
-    let stats = interp_workload(false);
+    // Sanity checks: the sweep really revokes, and the stats plumbing
+    // reports the run's operation counts.
+    assert!(
+        revocation_workload(revoking) > 0,
+        "revocation workload must clear tags"
+    );
+    let stats = interp_workload();
     assert!(stats.loads > 0 && stats.stores > 0 && stats.allocations > 0);
 
-    let results: Vec<Stats> = c.results().to_vec();
-    let median = |id: &str| {
-        results
-            .iter()
-            .find(|s| s.id == id)
-            .map(|s| s.median)
-            .expect("benchmark ran")
-    };
-
-    let bases = [
-        "scalar_store_load/cheri_reference",
-        "scalar_store_load/cheri_hardware",
-        "memcpy_4k/cheri_reference",
-        "revocation_sweep/cheri_hardware",
-        "interp_end_to_end/cerberus",
-    ];
+    let results = c.results();
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -208,37 +175,9 @@ fn main() {
             if i + 1 == results.len() { "" } else { "," }
         );
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"speedup_flat_over_legacy\": {\n");
-    for (i, base) in bases.iter().enumerate() {
-        let speedup = median(&format!("{base}/legacy")) / median(&format!("{base}/flat"));
-        let _ = writeln!(
-            json,
-            "    \"{base}\": {speedup:.2}{}",
-            if i + 1 == bases.len() { "" } else { "," }
-        );
-    }
-    json.push_str("  },\n");
-
-    let gate_base = "scalar_store_load/cheri_reference";
-    let legacy_ns = median(&format!("{gate_base}/legacy"));
-    let flat_ns = median(&format!("{gate_base}/flat"));
-    let pass = flat_ns <= legacy_ns;
-    let _ = writeln!(
-        json,
-        "  \"gate\": {{\"bench\": \"{gate_base}\", \"legacy_median_ns\": {legacy_ns:.1}, \"flat_median_ns\": {flat_ns:.1}, \"speedup\": {:.2}, \"pass\": {pass}}}",
-        legacy_ns / flat_ns
-    );
+    json.push_str("  ]\n");
     json.push_str("}\n");
 
     std::fs::write(&out_path, &json).expect("write BENCH_pr3.json");
     println!("\nwrote {out_path}");
-    println!(
-        "gate {gate_base}: legacy {legacy_ns:.0} ns/iter, flat {flat_ns:.0} ns/iter, speedup {:.2}x — {}",
-        legacy_ns / flat_ns,
-        if pass { "PASS" } else { "FAIL" }
-    );
-    if !pass {
-        std::process::exit(1);
-    }
 }

@@ -63,6 +63,28 @@ impl BinOp {
     pub fn is_relational(self) -> bool {
         matches!(self, BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
     }
+
+    /// `a op b` over `i128`: the one constant-folding rule, shared by the
+    /// parser (array sizes, enum values) and the type checker. `None` on
+    /// division or remainder by zero, a shift amount outside `0..128`, an
+    /// overflow, and for the comparison and logical operators, which are
+    /// not folded.
+    #[must_use]
+    pub fn fold(self, a: i128, b: i128) -> Option<i128> {
+        match self {
+            BinOp::Add => a.checked_add(b),
+            BinOp::Sub => a.checked_sub(b),
+            BinOp::Mul => a.checked_mul(b),
+            BinOp::Div => a.checked_div(b),
+            BinOp::Rem => a.checked_rem(b),
+            BinOp::And => Some(a & b),
+            BinOp::Or => Some(a | b),
+            BinOp::Xor => Some(a ^ b),
+            BinOp::Shl => a.checked_shl(u32::try_from(b).ok()?),
+            BinOp::Shr => a.checked_shr(u32::try_from(b).ok()?),
+            _ => None,
+        }
+    }
 }
 
 /// Unary operators.
@@ -76,6 +98,19 @@ pub enum UnOp {
     BitNot,
     /// `!`
     LogNot,
+}
+
+impl UnOp {
+    /// `op a` under the rule of [`BinOp::fold`]: `None` when `-a`
+    /// overflows, and for `+` and `!`, which are not folded.
+    #[must_use]
+    pub fn fold(self, a: i128) -> Option<i128> {
+        match self {
+            UnOp::Neg => a.checked_neg(),
+            UnOp::BitNot => Some(!a),
+            UnOp::Plus | UnOp::LogNot => None,
+        }
+    }
 }
 
 /// An expression.

@@ -14,6 +14,7 @@ use std::fmt;
 
 use crate::ast::*;
 use crate::lex::{lex, LexError, Pos, Spanned, Tok};
+use crate::pretty::bin_op_str;
 use crate::types::{IntTy, StructId, TargetLayout, Ty, TypeTable};
 
 /// Parse error.
@@ -579,6 +580,10 @@ impl Parser {
     }
 
     fn const_eval_i128(&mut self, e: &Expr) -> PResult<i128> {
+        let unfoldable = |what: String| ParseError {
+            msg: format!("cannot fold `{what}` to a constant"),
+            pos: e.pos,
+        };
         let v = match &e.kind {
             ExprKind::IntLit { value, .. } => *value as i128,
             ExprKind::CharLit(c) => i128::from(*c),
@@ -593,29 +598,16 @@ impl Parser {
             },
             ExprKind::SizeofTy(t) => self.types.size_of(t) as i128,
             ExprKind::AlignofTy(t) => self.types.align_of(t) as i128,
-            ExprKind::Unary(UnOp::Neg, a) => -self.const_eval_i128(a)?,
-            ExprKind::Unary(UnOp::BitNot, a) => !self.const_eval_i128(a)?,
+            ExprKind::Unary(op @ (UnOp::Neg | UnOp::BitNot), a) => {
+                let a = self.const_eval_i128(a)?;
+                // Only negation can fail: `-i128::MIN` overflows.
+                op.fold(a).ok_or_else(|| unfoldable(format!("-({a})")))?
+            }
             ExprKind::Binary(op, a, b) => {
                 let a = self.const_eval_i128(a)?;
                 let b = self.const_eval_i128(b)?;
-                match op {
-                    BinOp::Add => a + b,
-                    BinOp::Sub => a - b,
-                    BinOp::Mul => a * b,
-                    BinOp::Div => a / b,
-                    BinOp::Rem => a % b,
-                    BinOp::Shl => a << b,
-                    BinOp::Shr => a >> b,
-                    BinOp::And => a & b,
-                    BinOp::Or => a | b,
-                    BinOp::Xor => a ^ b,
-                    _ => {
-                        return Err(ParseError {
-                            msg: "unsupported constant operator".into(),
-                            pos: e.pos,
-                        })
-                    }
-                }
+                op.fold(a, b)
+                    .ok_or_else(|| unfoldable(format!("{a} {} {b}", bin_op_str(*op))))?
             }
             _ => {
                 return Err(ParseError {
@@ -1379,6 +1371,31 @@ mod tests {
             }
             other @ Item::Global(_) => panic!("expected function, got {other:?}"),
         }
+    }
+
+    /// A constant that does not fold (division or remainder by zero, a
+    /// shift out of range, an overflow) is a parse error wherever the
+    /// parser folds: array sizes, enum values, struct member arrays.
+    #[test]
+    fn unfoldable_constants_are_parse_errors() {
+        let min = i128::MIN;
+        for (src, what) in [
+            ("int a[1/0];", "1 / 0".to_string()),
+            ("enum { A = 1 % 0 };", "1 % 0".to_string()),
+            ("struct s { int m[2 / (1 - 1)]; };", "2 / 0".to_string()),
+            ("int a[1 << 200];", "1 << 200".to_string()),
+            ("enum { B = (1 << 127) * 2 };", format!("{min} * 2")),
+            ("int a[-(1 << 127)];", format!("-({min})")),
+        ] {
+            let e = parse(src, TargetLayout::default()).expect_err(src);
+            assert_eq!(
+                e.msg,
+                format!("cannot fold `{what}` to a constant"),
+                "{src}"
+            );
+        }
+        // Constants that do fold are unaffected.
+        parse_ok("enum { A = 7 / 2, B = (1 << 4) % 5 }; int a[A << 2]; struct s { int m[~-4]; };");
     }
 
     #[test]

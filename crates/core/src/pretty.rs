@@ -366,7 +366,7 @@ fn int_name(i: IntTy) -> &'static str {
     }
 }
 
-fn bin_op_str(op: BinOp) -> &'static str {
+pub(crate) fn bin_op_str(op: BinOp) -> &'static str {
     match op {
         BinOp::Add => "+",
         BinOp::Sub => "-",

@@ -1240,3 +1240,29 @@ fn types_larger_than_64_bits_are_rejected_by_the_front_end() {
         3,
     );
 }
+
+// ── Constant expressions that do not fold ────────────────────────────────
+
+/// A division by zero in an array size (global or local), an enum value or
+/// a struct member's array size ends the run as a front-end error under
+/// every profile. The parser's folding used to panic on these instead.
+#[test]
+fn unfoldable_constants_are_front_end_errors() {
+    for src in [
+        "int a[1/0];\nint main(void) { return 0; }",
+        "int main(void) { int a[1/0]; return 0; }",
+        "enum { A = 1 % 0 };\nint main(void) { return A; }",
+        "struct s { int m[2 / (1 - 1)]; };\nint main(void) { return 0; }",
+    ] {
+        for p in Profile::all_compared() {
+            match run(src, &p).outcome {
+                Outcome::Error(m) => assert!(
+                    m.starts_with("parse error at 1:") && m.contains("cannot fold"),
+                    "{src} under {}: {m}",
+                    p.name
+                ),
+                other => panic!("{src} under {}: {other}", p.name),
+            }
+        }
+    }
+}

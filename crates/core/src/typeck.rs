@@ -1647,8 +1647,7 @@ fn is_char(t: &Ty) -> bool {
 pub fn fold_const(e: &TExpr) -> Option<i128> {
     match &e.kind {
         TExprKind::ConstInt(v) => Some(*v),
-        TExprKind::Unary(UnOp::Neg, a) => Some(-fold_const(a)?),
-        TExprKind::Unary(UnOp::BitNot, a) => Some(!fold_const(a)?),
+        TExprKind::Unary(op @ (UnOp::Neg | UnOp::BitNot), a) => op.fold(fold_const(a)?),
         TExprKind::Cast {
             kind: CastKind::IntToInt,
             arg,
@@ -1657,21 +1656,7 @@ pub fn fold_const(e: &TExpr) -> Option<i128> {
             e.ty.as_int().map(|it| it.wrap(v))
         }
         TExprKind::Binary { op, lhs, rhs, .. } => {
-            let a = fold_const(lhs)?;
-            let b = fold_const(rhs)?;
-            let v = match op {
-                BinOp::Add => a.checked_add(b)?,
-                BinOp::Sub => a.checked_sub(b)?,
-                BinOp::Mul => a.checked_mul(b)?,
-                BinOp::Div => a.checked_div(b)?,
-                BinOp::Rem => a.checked_rem(b)?,
-                BinOp::And => a & b,
-                BinOp::Or => a | b,
-                BinOp::Xor => a ^ b,
-                BinOp::Shl => a.checked_shl(u32::try_from(b).ok()?)?,
-                BinOp::Shr => a.checked_shr(u32::try_from(b).ok()?)?,
-                _ => return None,
-            };
+            let v = op.fold(fold_const(lhs)?, fold_const(rhs)?)?;
             e.ty.as_int().map(|it| it.wrap(v))
         }
         _ => None,

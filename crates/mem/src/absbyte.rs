@@ -9,7 +9,7 @@
 //! # Packed representation
 //!
 //! The naive `(Provenance, Option<u8>, Option<u8>)` struct is 24 bytes —
-//! 16 of them the provenance enum — and the flat store keeps one `AbsByte`
+//! 16 of them the provenance enum — and the byte store keeps one `AbsByte`
 //! per reserved byte of every allocation, so the footprint (and cache
 //! traffic of `memcpy`/scalar loads) is dominated by it. The triple packs
 //! into a single `u64` instead:

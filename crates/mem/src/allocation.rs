@@ -58,12 +58,11 @@ pub struct Allocation {
     pub readonly: bool,
     /// Diagnostic name (variable name or `"malloc"`).
     pub prefix: String,
-    /// Flat-store byte contents: one [`AbsByte`] per *reserved* byte, so the
-    /// hardware-emulation profiles can read stale/padding bytes the same way
-    /// the legacy global byte dictionary allowed. Empty when the instance
-    /// runs with [`MemConfig::legacy_store`](crate::MemConfig).
+    /// The allocation's part of `B`: one [`AbsByte`] per *reserved* byte,
+    /// padding included, so the hardware-emulation profiles can read stale
+    /// and padding bytes through a capability whose bounds cover them.
     pub(crate) buf: Vec<AbsByte>,
-    /// Flat-store capability-slot metadata: one packed entry per
+    /// The allocation's part of `C`: one packed entry per
     /// capability-aligned slot whose footprint lies inside the reserved
     /// footprint (slot `k` is at address `first_slot + k * cap_bytes`).
     pub(crate) slots: CapSlotBits,
@@ -105,7 +104,7 @@ impl Allocation {
         self.base.wrapping_add(self.reserved_size)
     }
 
-    /// Flat store: slot index of the capability-aligned address `addr`, if
+    /// Slot index of the capability-aligned address `addr`, if
     /// the `cap_bytes`-sized footprint at `addr` lies inside the reserved
     /// footprint.
     pub(crate) fn slot_index(&self, addr: u64, cap_bytes: u64) -> Option<usize> {
@@ -116,7 +115,7 @@ impl Allocation {
         (k < self.slots.len()).then_some(k)
     }
 
-    /// Flat store: number of capability-aligned slots fully contained in
+    /// Number of capability-aligned slots fully contained in
     /// `[first_slot, base + reserved)`, given `first_slot` is the first
     /// aligned address `>= base`.
     pub(crate) fn slot_count(base: u64, reserved: u64, first_slot: u64, cap_bytes: u64) -> usize {

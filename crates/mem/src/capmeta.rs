@@ -34,13 +34,13 @@ pub struct SlotMeta {
     pub ghost: GhostState,
 }
 
-/// Packed per-allocation capability-slot metadata: the flat-store rendering
-/// of the `C` dictionary for the slots inside one allocation.
+/// Packed per-allocation capability-slot metadata: the part of `C` for the
+/// slots inside one allocation's reserved footprint.
 ///
 /// Each capability-aligned slot needs three bits — the stored tag and the
 /// two ghost bits — so slots are packed four bits wide into `u64` words
-/// (16 slots per word). Absent metadata reads as untagged-and-clean, exactly
-/// like an absent key in the legacy global [`CapMeta`] dictionary.
+/// (16 slots per word). Absent metadata reads as untagged-and-clean, like
+/// an absent key in [`CapMeta`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CapSlotBits {
     n: usize,
@@ -137,7 +137,10 @@ impl CapSlotBits {
     }
 }
 
-/// The capability-metadata dictionary, keyed by capability-aligned address.
+/// A sparse capability-metadata map, keyed by capability-aligned address.
+/// The memory model keeps in one the slots no allocation's [`CapSlotBits`]
+/// covers: those whose footprint crosses or lies outside every reserved
+/// footprint, reachable only through unpadded capabilities.
 #[derive(Clone, Debug, Default)]
 pub struct CapMeta {
     slots: BTreeMap<u64, SlotMeta>,

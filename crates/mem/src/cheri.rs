@@ -6,12 +6,11 @@
 //! are methods on [`CheriMemory`] returning [`MemResult`] — the Rust
 //! rendering of the paper's `memM` state-and-error monad.
 //!
-//! `B` and `C` have two observably-identical renderings, selected by
-//! [`MemConfig::legacy_store`]: the original global per-byte/per-slot
-//! `BTreeMap` dictionaries, and the default *flat store* — one contiguous
-//! `Vec<AbsByte>` buffer plus a packed capability-slot bitset per
-//! allocation, addressed through a sorted interval index over the pairwise
-//! disjoint reserved footprints.
+//! `B` and `C` are rendered as one store: a contiguous `Vec<AbsByte>`
+//! buffer plus a packed capability-slot bitset per allocation, addressed
+//! through a sorted interval index over the pairwise disjoint reserved
+//! footprints, and a sparse *spill* for the addresses between footprints
+//! (see [`CheriMemory`]'s `spill` field).
 //!
 //! The same type also serves as the *baseline* ISO C PNVI-ae-udi concrete
 //! model (§2.3) when constructed with `capabilities = false`, and as the
@@ -35,7 +34,7 @@ use cheri_obs::{
 
 use crate::absbyte::{recover_provenance, AbsByte};
 use crate::allocation::{AllocKind, Allocation};
-use crate::capmeta::{CapMeta, SlotMeta, TagInvalidation};
+use crate::capmeta::{CapMeta, CapSlotBits, SlotMeta, TagInvalidation};
 use crate::layout::AddressLayout;
 use crate::provenance::{AllocId, IotaId, IotaState, Provenance};
 use crate::ub::{MemError, MemResult, TrapKind, Ub};
@@ -67,12 +66,6 @@ pub struct MemConfig {
     /// overlap the freed region, so even the hardware-only profiles
     /// catch use-after-free through reloaded pointers.
     pub revocation: bool,
-    /// Use the legacy storage layout: one global `BTreeMap<u64, AbsByte>`
-    /// byte dictionary plus a global [`CapMeta`] slot dictionary, instead of
-    /// the per-allocation flat buffers and slot bitsets. Kept for one
-    /// release as a differential referee and benchmark baseline; the two
-    /// layouts are observably identical (same outcomes, traces, and stats).
-    pub legacy_store: bool,
 }
 
 impl MemConfig {
@@ -86,7 +79,6 @@ impl MemConfig {
             layout: AddressLayout::cerberus(),
             pad_for_representability: true,
             revocation: false,
-            legacy_store: false,
         }
     }
 
@@ -101,7 +93,6 @@ impl MemConfig {
             layout,
             pad_for_representability: true,
             revocation: false,
-            legacy_store: false,
         }
     }
 
@@ -116,7 +107,6 @@ impl MemConfig {
             layout: AddressLayout::embedded32(),
             pad_for_representability: true,
             revocation: true,
-            legacy_store: false,
         }
     }
 
@@ -130,7 +120,6 @@ impl MemConfig {
             layout: AddressLayout::cerberus(),
             pad_for_representability: false,
             revocation: false,
-            legacy_store: false,
         }
     }
 }
@@ -188,6 +177,118 @@ fn alloc_class(kind: AllocKind) -> AllocClass {
     }
 }
 
+/// One step of a [`walk`]: the `len` bytes from `at` bytes into the walked
+/// range lie in one allocation's buffer, or in a gap between reserved
+/// footprints when `alloc` is `None`. `alloc` is `(i, off)`: position `i`
+/// in `CheriMemory::allocations` and offset `off` into its buffer.
+#[derive(Clone, Copy)]
+struct Step {
+    at: usize,
+    len: usize,
+    alloc: Option<(usize, usize)>,
+}
+
+/// The one walk over the interval index: `[addr, addr + n)` as allocation
+/// segments and gaps, in address order, at one binary search per step. It
+/// borrows only the index, so its caller may write the allocation buffers
+/// and the spill it visits.
+#[inline]
+fn walk(index: &[(u64, u64, AllocId)], addr: u64, n: usize) -> impl Iterator<Item = Step> + '_ {
+    let end = addr + n as u64;
+    let mut cur = addr;
+    std::iter::from_fn(move || {
+        if cur >= end {
+            return None;
+        }
+        let i = index.partition_point(|e| e.0 <= cur);
+        let (stop, alloc) = match i.checked_sub(1).map(|j| index[j]) {
+            // Allocation IDs index `allocations` at `id - 1`.
+            Some((base, top, id)) if cur < top => (
+                top.min(end),
+                Some(((id.0 - 1) as usize, (cur - base) as usize)),
+            ),
+            _ => (index.get(i).map_or(end, |e| e.0.min(end)), None),
+        };
+        let step = Step {
+            at: (cur - addr) as usize,
+            len: (stop - cur) as usize,
+            alloc,
+        };
+        cur = stop;
+        Some(step)
+    })
+}
+
+/// What a write puts into `B`.
+#[derive(Clone, Copy)]
+enum Bytes<'a> {
+    /// Abstract bytes verbatim (provenance and copy indices intact).
+    Abs(&'a [AbsByte]),
+    /// Plain data bytes.
+    Data(&'a [u8]),
+    /// `n` copies of one plain data byte (`memset`).
+    Fill(u8, usize),
+}
+
+impl Bytes<'_> {
+    #[inline]
+    fn len(self) -> usize {
+        match self {
+            Bytes::Abs(b) => b.len(),
+            Bytes::Data(b) => b.len(),
+            Bytes::Fill(_, n) => n,
+        }
+    }
+
+    /// Byte `i`.
+    #[inline]
+    fn get(self, i: usize) -> AbsByte {
+        match self {
+            Bytes::Abs(b) => b[i],
+            Bytes::Data(b) => AbsByte::data(b[i]),
+            Bytes::Fill(v, _) => AbsByte::data(v),
+        }
+    }
+
+    /// Bytes `at..at + dst.len()`, into `dst`.
+    #[inline]
+    fn put(self, at: usize, dst: &mut [AbsByte]) {
+        match self {
+            Bytes::Abs(b) => dst.copy_from_slice(&b[at..at + dst.len()]),
+            Bytes::Data(b) => {
+                for (d, v) in dst.iter_mut().zip(&b[at..]) {
+                    *d = AbsByte::data(*v);
+                }
+            }
+            Bytes::Fill(v, _) => dst.fill(AbsByte::data(v)),
+        }
+    }
+}
+
+/// `memcmp` over two read-back ranges of equal length; see
+/// [`CheriMemory::memcmp`].
+fn compare_bytes(a: &[AbsByte], b: &[AbsByte], abstract_ub: bool) -> MemResult<i32> {
+    for (x, y) in a.iter().zip(b) {
+        let (x, y) = if abstract_ub {
+            match (x.value(), y.value()) {
+                (Some(x), Some(y)) => (x, y),
+                _ => {
+                    return Err(MemError::ub(
+                        Ub::UninitialisedRead,
+                        "memcmp of uninitialised bytes",
+                    ))
+                }
+            }
+        } else {
+            (x.concrete(), y.concrete())
+        };
+        if x != y {
+            return Ok(if x < y { -1 } else { 1 });
+        }
+    }
+    Ok(0)
+}
+
 /// The memory object model.
 ///
 /// # Example
@@ -216,25 +317,23 @@ pub struct CheriMemory<C: Capability> {
     next_alloc: u64,
     iotas: BTreeMap<IotaId, IotaState>,
     next_iota: u64,
-    /// Legacy store only: the global address-indexed byte dictionary.
-    bytes: BTreeMap<u64, AbsByte>,
-    /// Legacy store only: the global capability-metadata dictionary.
-    caps: CapMeta,
     /// Sorted interval index over *reserved* allocation footprints:
     /// `(base, base + reserved_size, id)`, ordered by `base`. Footprints are
     /// pairwise disjoint (the bump allocators never reuse addresses), so a
-    /// binary search resolves address → allocation in O(log #allocs). Kept
-    /// in both storage modes; the flat store additionally routes all byte
-    /// and capability-slot traffic through it.
+    /// binary search resolves address → allocation in O(log #allocs). All
+    /// byte and capability-slot traffic is routed through it.
     index: Vec<(u64, u64, AllocId)>,
-    /// Flat store only: bytes written *outside* every allocation's reserved
-    /// footprint. Reachable only through capabilities whose
-    /// CHERI-Concentrate padding extends past their allocation (§3.2), so
-    /// this is empty in practice — it exists to keep the flat store
-    /// observably identical to the legacy global dictionary.
+    /// The bytes of `B` that lie *outside* every allocation's reserved
+    /// footprint. Only an unpadded capability reaches them: with
+    /// `pad_for_representability` off, CHERI-Concentrate rounds an
+    /// allocation's bounds up past its footprint (§3.2), and a checked
+    /// access may land in the gap. The spill keeps `B` total there, so
+    /// what such a store wrote reads back. It stays empty while padding
+    /// is on. An allocation placed over spilled bytes later reads its own
+    /// fresh (uninitialised) buffer instead.
     spill: BTreeMap<u64, AbsByte>,
-    /// Flat store only: capability-slot metadata for slots whose footprint
-    /// is not fully inside one allocation (same provenance as `spill`).
+    /// The `C` entries for slots whose footprint is not fully inside one
+    /// allocation's reserved footprint (reached the same way as `spill`).
     spill_caps: CapMeta,
     stack_ptr: u64,
     heap_ptr: u64,
@@ -244,15 +343,15 @@ pub struct CheriMemory<C: Capability> {
     /// Event-sink slot: when empty, emitting costs one branch and events
     /// are never constructed (`cheri-obs`' zero-cost-when-off contract).
     sink: SinkHandle,
-    /// Flat-store byte buffers harvested by [`CheriMemory::reset`] and
+    /// Allocation byte buffers harvested by [`CheriMemory::reset`] and
     /// reused by subsequent allocations, so a long-lived instance (one
     /// batch-service worker) stops paying a heap allocation per program
     /// object. Buffer identity is not observable: a recycled buffer is
     /// cleared and refilled with `UNINIT` exactly like a fresh one.
     recycle: Vec<Vec<AbsByte>>,
-    /// The bytes a `memcpy` is moving, reused across copies so that
-    /// copying does not allocate.
-    copy_buf: Vec<AbsByte>,
+    /// The bytes a `memcpy` is moving or a `memcmp` is comparing, reused
+    /// across calls so that neither allocates.
+    scratch: Vec<AbsByte>,
     _cap: std::marker::PhantomData<C>,
 }
 
@@ -272,8 +371,6 @@ impl<C: Capability> CheriMemory<C> {
             next_alloc: 1,
             iotas: BTreeMap::new(),
             next_iota: 0,
-            bytes: BTreeMap::new(),
-            caps: CapMeta::new(),
             index: Vec::new(),
             spill: BTreeMap::new(),
             spill_caps: CapMeta::new(),
@@ -283,13 +380,13 @@ impl<C: Capability> CheriMemory<C> {
             stats: MemStats::default(),
             sink: SinkHandle::none(),
             recycle: Vec::new(),
-            copy_buf: Vec::new(),
+            scratch: Vec::new(),
             _cap: std::marker::PhantomData,
         }
     }
 
     /// Reset this instance to the pristine state of [`CheriMemory::new`]
-    /// under `cfg` — same observable behaviour, but the flat-store byte
+    /// under `cfg` — same observable behaviour, but the allocation byte
     /// buffers of the previous run are kept (capacity-preserving) and
     /// reused by future allocations. A long-lived caller executing many
     /// programs (the `cheri-serve` batch workers) resets one arena per
@@ -308,8 +405,6 @@ impl<C: Capability> CheriMemory<C> {
         self.next_alloc = 1;
         self.iotas.clear();
         self.next_iota = 0;
-        self.bytes.clear();
-        self.caps = CapMeta::new();
         self.index.clear();
         self.spill.clear();
         self.spill_caps = CapMeta::new();
@@ -528,21 +623,17 @@ impl<C: Capability> CheriMemory<C> {
         };
         let base = self.place(reserved, align, kind)?;
         let id = self.fresh_alloc_id();
-        let (buf, slots, first_slot) = if self.cfg.legacy_store {
-            (Vec::new(), crate::capmeta::CapSlotBits::new(0), base)
-        } else {
-            let cb = C::CAP_BYTES as u64;
-            // First capability-aligned address at or above `base`.
-            let first_slot = (base.wrapping_add(cb - 1)) & !(cb - 1);
-            let n_slots = Allocation::slot_count(base, reserved, first_slot, cb);
-            let mut buf = self.uninit_buf(reserved as usize);
-            if let Some(init) = init {
-                for (i, b) in init.iter().enumerate() {
-                    buf[i] = AbsByte::data(*b);
-                }
+        let cb = C::CAP_BYTES as u64;
+        // First capability-aligned address at or above `base`.
+        let first_slot = (base.wrapping_add(cb - 1)) & !(cb - 1);
+        let n_slots = Allocation::slot_count(base, reserved, first_slot, cb);
+        let mut buf = self.uninit_buf(reserved as usize);
+        if let Some(init) = init {
+            debug_assert_eq!(init.len() as u64, size);
+            for (o, b) in buf.iter_mut().zip(init) {
+                *o = AbsByte::data(*b);
             }
-            (buf, crate::capmeta::CapSlotBits::new(n_slots), first_slot)
-        };
+        }
         debug_assert_eq!(self.allocations.len() as u64 + 1, id.0);
         self.allocations.push(
             Allocation {
@@ -557,7 +648,7 @@ impl<C: Capability> CheriMemory<C> {
                 readonly: readonly || kind.inherently_readonly(),
                 prefix: prefix.to_string(),
                 buf,
-                slots,
+                slots: CapSlotBits::new(n_slots),
                 first_slot,
             },
         );
@@ -571,14 +662,6 @@ impl<C: Capability> CheriMemory<C> {
             kind: alloc_class(kind),
             name: Name::new(prefix),
         });
-        if let Some(init) = init {
-            debug_assert_eq!(init.len() as u64, size);
-            if self.cfg.legacy_store {
-                for (i, b) in init.iter().enumerate() {
-                    self.bytes.insert(base + i as u64, AbsByte::data(*b));
-                }
-            }
-        }
         let cap = self.allocation_cap(base, size, kind, readonly);
         Ok(PtrVal::new(Provenance::Alloc(id), cap))
     }
@@ -645,25 +728,17 @@ impl<C: Capability> CheriMemory<C> {
             dynamic,
         });
         // Field-indexing (not `alloc_mut`) keeps the borrow on
-        // `self.allocations` alone so `self.cfg`/`self.bytes` stay usable.
+        // `self.allocations` alone so `self.cfg`/`self.spill_caps` stay usable.
         let alloc = &mut self.allocations[(id.0 - 1) as usize];
         alloc.alive = false;
         if self.cfg.abstract_ub {
             // Abstract machine: the contents become indeterminate when the
             // lifetime ends.
-            if self.cfg.legacy_store {
-                let keys: Vec<u64> = self.bytes.range(base..end).map(|(k, _)| *k).collect();
-                for k in keys {
-                    self.bytes.remove(&k);
-                }
-                self.caps.clear_range(base, end);
-            } else {
-                alloc.buf.fill(AbsByte::UNINIT);
-                alloc.slots.clear_all();
-                // A slot whose footprint crosses the reserved end lives in
-                // the spill dictionary; forget it like the legacy clear did.
-                self.spill_caps.clear_range(base, end);
-            }
+            alloc.buf.fill(AbsByte::UNINIT);
+            alloc.slots.clear_all();
+            // A slot whose footprint crosses the reserved end lives in the
+            // spill; forget it with the rest of the allocation's slots.
+            self.spill_caps.clear_range(base, end);
         }
         // Hardware emulation keeps the stale bytes: freed memory reads back
         // its old contents until reused — which is exactly the §3.11
@@ -690,10 +765,9 @@ impl<C: Capability> CheriMemory<C> {
     /// base-membership test would let it escape the sweep and stay usable
     /// after `free`.
     fn revoke_range(&mut self, lo: u64, hi: u64) {
-        let before = self.stats.revoked_caps;
-        self.revoke_range_sweep(lo, hi);
-        let cleared = self.stats.revoked_caps - before;
+        let cleared = self.revoke_range_sweep(lo, hi);
         if cleared > 0 {
+            self.stats.revoked_caps += cleared;
             self.stats.tag_clears += cleared;
             self.stats.tag_clears_by_reason[TagClearReason::Revoked.code() as usize] += cleared;
         }
@@ -704,104 +778,48 @@ impl<C: Capability> CheriMemory<C> {
         });
     }
 
-    /// The sweep itself (increments `stats.revoked_caps` per hit).
-    fn revoke_range_sweep(&mut self, lo: u64, hi: u64) {
-        let cb = C::CAP_BYTES as u64;
-        let overlaps = |cap: &C| {
-            let b = cap.bounds();
-            b.base < hi && b.top > u128::from(lo)
+    /// The sweep itself; returns the number of tags it cleared.
+    fn revoke_range_sweep(&mut self, lo: u64, hi: u64) -> u64 {
+        let cb = C::CAP_BYTES;
+        // Does the tagged capability stored as `bytes` overlap `[lo, hi)`?
+        let revokes = |bytes: &[AbsByte]| {
+            let mut raw = [0u8; SCALAR_BUF];
+            for (r, b) in raw.iter_mut().zip(bytes) {
+                *r = b.concrete();
+            }
+            C::decode(&raw[..cb], true).is_some_and(|cap| {
+                let b = cap.bounds();
+                b.base < hi && b.top > u128::from(lo)
+            })
         };
-        if self.cfg.legacy_store {
-            let slots: Vec<u64> = self
-                .bytes
-                .keys()
-                .copied()
-                .filter(|a| a % cb == 0)
+        let untag = |m: SlotMeta| SlotMeta {
+            tag: false,
+            ghost: m.ghost,
+        };
+        let mut cleared = 0;
+        // Only tagged slots are visited, per allocation.
+        for a in &mut self.allocations {
+            let slot0 = a.first_slot.wrapping_sub(a.base) as usize;
+            let hits: Vec<usize> = a
+                .slots
+                .tagged_indices()
+                .filter(|k| revokes(&a.buf[slot0 + k * cb..][..cb]))
                 .collect();
-            for slot in slots {
-                let meta = self.caps.get(slot);
-                if !meta.tag {
-                    continue;
-                }
-                let raw: Vec<u8> = (0..cb)
-                    .map(|i| {
-                        self.bytes
-                            .get(&(slot + i))
-                            .map(AbsByte::concrete)
-                            .unwrap_or(0)
-                    })
-                    .collect();
-                if let Some(cap) = C::decode(&raw, true) {
-                    if overlaps(&cap) {
-                        self.stats.revoked_caps += 1;
-                        self.caps.set(
-                            slot,
-                            SlotMeta {
-                                tag: false,
-                                ghost: meta.ghost,
-                            },
-                        );
-                    }
-                }
-            }
-            return;
-        }
-        // Flat store: only tagged slots are visited, per allocation, instead
-        // of every byte key in memory.
-        let ids: Vec<AllocId> = self.index.iter().map(|e| e.2).collect();
-        for id in ids {
-            let a = self.alloc_ref(id).expect("indexed allocation");
-            let mut hits: Vec<usize> = Vec::new();
-            for k in a.slots.tagged_indices() {
-                let slot = a.first_slot + k as u64 * cb;
-                let off = (slot - a.base) as usize;
-                let raw: Vec<u8> = a.buf[off..off + cb as usize]
-                    .iter()
-                    .map(AbsByte::concrete)
-                    .collect();
-                if let Some(cap) = C::decode(&raw, true) {
-                    if overlaps(&cap) {
-                        hits.push(k);
-                    }
-                }
-            }
-            if hits.is_empty() {
-                continue;
-            }
-            self.stats.revoked_caps += hits.len() as u64;
-            let a = self.alloc_mut(id).expect("indexed allocation");
+            cleared += hits.len() as u64;
             for k in hits {
-                let meta = a.slots.get(k);
-                a.slots.set(
-                    k,
-                    SlotMeta {
-                        tag: false,
-                        ghost: meta.ghost,
-                    },
-                );
+                a.slots.set(k, untag(a.slots.get(k)));
             }
         }
         // Capabilities stored outside every allocation footprint (spill).
         for slot in self.spill_caps.tagged_addrs() {
-            let raw: Vec<u8> = self
-                .read_bytes(slot, cb)
-                .iter()
-                .map(AbsByte::concrete)
-                .collect();
-            if let Some(cap) = C::decode(&raw, true) {
-                if overlaps(&cap) {
-                    self.stats.revoked_caps += 1;
-                    let meta = self.spill_caps.get(slot);
-                    self.spill_caps.set(
-                        slot,
-                        SlotMeta {
-                            tag: false,
-                            ghost: meta.ghost,
-                        },
-                    );
-                }
+            let mut bytes = [AbsByte::UNINIT; SCALAR_BUF];
+            self.read_bytes_into(slot, &mut bytes[..cb]);
+            if revokes(&bytes[..cb]) {
+                cleared += 1;
+                self.spill_caps.set(slot, untag(self.spill_caps.get(slot)));
             }
         }
+        cleared
     }
 
     /// `realloc`: allocate a new region, copy contents, free the old one.
@@ -1039,16 +1057,14 @@ impl<C: Capability> CheriMemory<C> {
         Ok(())
     }
 
-    // ── Byte-level helpers (the B and C dictionaries) ────────────────────
+    // ── Byte-level helpers (the B and C maps) ────────────────────────────
     //
-    // Every byte and capability-slot access below dispatches on
-    // `cfg.legacy_store`: the legacy path keeps the original global
-    // `BTreeMap` dictionaries, the flat path routes through the interval
-    // index into per-allocation buffers/bitsets. Checked accesses always
-    // land inside one allocation's reserved footprint (capability bounds
-    // are confined to it by representability padding), so the segment walks
-    // below take the single-allocation fast path in practice; the gap/spill
-    // branches only exist for padded-out-of-allocation capabilities.
+    // Every byte access takes the one [`walk`] over the interval index:
+    // each step is a run of bytes inside one allocation's buffer or a gap
+    // between reserved footprints, which the spill serves. With allocations
+    // padded for representability a checked access stays inside one
+    // reserved footprint, so the walk takes a single allocation step; gaps
+    // are reached only through unpadded capabilities (see `spill`).
 
     /// Interval-index position of the allocation whose *reserved* footprint
     /// contains `addr`.
@@ -1058,99 +1074,48 @@ impl<C: Capability> CheriMemory<C> {
         (i > 0 && addr < self.index[i - 1].1).then(|| i - 1)
     }
 
-    /// The allocation whose reserved footprint contains `addr` (flat store).
+    /// The allocation whose reserved footprint contains `addr`.
     #[inline]
     fn alloc_at(&self, addr: u64) -> Option<&Allocation> {
         self.index_pos(addr)
             .map(|i| self.alloc_ref(self.index[i].2).expect("indexed allocation"))
     }
 
-    fn read_bytes(&self, addr: u64, n: u64) -> Vec<AbsByte> {
-        let mut out = vec![AbsByte::UNINIT; n as usize];
-        self.read_bytes_into(addr, &mut out);
-        out
-    }
-
-    /// [`CheriMemory::read_bytes`] into a caller-provided buffer: the
-    /// scalar load path uses a stack buffer to keep `Vec` allocations off
-    /// the per-access hot path.
+    /// Read `out.len()` bytes of `B` starting at `addr` into a
+    /// caller-provided buffer: the scalar load path passes a stack buffer,
+    /// which keeps `Vec` allocations off the per-access hot path.
     fn read_bytes_into(&self, addr: u64, out: &mut [AbsByte]) {
-        let n = out.len() as u64;
-        if self.cfg.legacy_store {
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = self
-                    .bytes
-                    .get(&(addr + i as u64))
-                    .copied()
-                    .unwrap_or(AbsByte::UNINIT);
-            }
-            return;
-        }
-        let end = addr + n;
-        let mut cur = addr;
-        while cur < end {
-            if let Some(i) = self.index_pos(cur) {
-                let (base, a_end, id) = self.index[i];
-                let a = self.alloc_ref(id).expect("indexed allocation");
-                let take = (a_end.min(end) - cur) as usize;
-                let off = (cur - base) as usize;
-                let dst = (cur - addr) as usize;
-                out[dst..dst + take].copy_from_slice(&a.buf[off..off + take]);
-                cur += take as u64;
-            } else {
-                let j = self.index.partition_point(|e| e.0 <= cur);
-                let stop = self
-                    .index
-                    .get(j)
-                    .map_or(end, |e| e.0.min(end));
-                if !self.spill.is_empty() {
-                    for (k, b) in self.spill.range(cur..stop) {
-                        out[(k - addr) as usize] = *b;
+        for s in walk(&self.index, addr, out.len()) {
+            let out = &mut out[s.at..s.at + s.len];
+            match s.alloc {
+                Some((a, off)) => out.copy_from_slice(&self.allocations[a].buf[off..off + s.len]),
+                None => {
+                    out.fill(AbsByte::UNINIT);
+                    let lo = addr + s.at as u64;
+                    for (k, b) in self.spill.range(lo..lo + s.len as u64) {
+                        out[(k - lo) as usize] = *b;
                     }
                 }
-                cur = stop;
             }
         }
     }
 
-    /// Write abstract bytes verbatim (provenance and copy indices intact).
-    fn write_abs_bytes(&mut self, addr: u64, data: &[AbsByte]) {
-        if self.cfg.legacy_store {
-            for (i, b) in data.iter().enumerate() {
-                self.bytes.insert(addr + i as u64, *b);
-            }
-            return;
-        }
-        let end = addr + data.len() as u64;
-        let mut cur = addr;
-        while cur < end {
-            if let Some(i) = self.index_pos(cur) {
-                let (base, a_end, id) = self.index[i];
-                let take = (a_end.min(end) - cur) as usize;
-                let off = (cur - base) as usize;
-                let src = (cur - addr) as usize;
-                let a = self.alloc_mut(id).expect("indexed allocation");
-                a.buf[off..off + take].copy_from_slice(&data[src..src + take]);
-                cur += take as u64;
-            } else {
-                let j = self.index.partition_point(|e| e.0 <= cur);
-                let stop = self
-                    .index
-                    .get(j)
-                    .map_or(end, |e| e.0.min(end));
-                for k in cur..stop {
-                    self.spill.insert(k, data[(k - addr) as usize]);
+    /// Write `bytes` into `B` starting at `addr`; `C` is left alone.
+    fn write_bytes(&mut self, addr: u64, bytes: Bytes<'_>) {
+        for s in walk(&self.index, addr, bytes.len()) {
+            match s.alloc {
+                Some((a, off)) => bytes.put(s.at, &mut self.allocations[a].buf[off..off + s.len]),
+                None => {
+                    for i in s.at..s.at + s.len {
+                        self.spill.insert(addr + i as u64, bytes.get(i));
+                    }
                 }
-                cur = stop;
             }
         }
     }
 
     /// Capability-slot metadata at aligned address `addr`.
     fn slot_get(&self, addr: u64) -> SlotMeta {
-        if self.cfg.legacy_store {
-            return self.caps.get(addr);
-        }
         let cb = C::CAP_BYTES as u64;
         if let Some(a) = self.alloc_at(addr) {
             if let Some(k) = a.slot_index(addr, cb) {
@@ -1162,10 +1127,6 @@ impl<C: Capability> CheriMemory<C> {
 
     /// Record capability-slot metadata at aligned address `addr`.
     fn slot_set(&mut self, addr: u64, meta: SlotMeta) {
-        if self.cfg.legacy_store {
-            self.caps.set(addr, meta);
-            return;
-        }
         let cb = C::CAP_BYTES as u64;
         if let Some(i) = self.index_pos(addr) {
             let id = self.index[i].2;
@@ -1179,38 +1140,14 @@ impl<C: Capability> CheriMemory<C> {
     }
 
     /// Invalidate every capability slot whose footprint overlaps `[lo, hi)`
-    /// (§4.3 non-capability write rule), mirroring
-    /// [`CapMeta::invalidate_range`] exactly. `reason` attributes the
-    /// clears in the stats histogram and the emitted event; both storage
-    /// modes count affected slots with the same condition, so the counters
-    /// are store-mode invariant.
+    /// (§4.3 non-capability write rule), counting affected slots as
+    /// [`CapMeta::invalidate_range`] does. `reason` attributes the clears
+    /// in the stats histogram and the emitted event.
     fn caps_invalidate(&mut self, lo: u64, hi: u64, reason: TagClearReason) {
         let cb = C::CAP_BYTES as u64;
         let mode = self.cfg.tag_invalidation;
-        let affected = if self.cfg.legacy_store {
-            self.caps.invalidate_range(lo, hi, cb, mode)
-        } else {
-            self.caps_invalidate_flat(lo, hi)
-        };
-        if affected > 0 {
-            self.stats.tag_clears += affected as u64;
-            self.stats.tag_clears_by_reason[reason.code() as usize] += affected as u64;
-            self.emit(|| MemEvent::CapTagClear {
-                addr: lo,
-                count: affected as u64,
-                reason,
-            });
-        }
-    }
-
-    /// Flat-store body of [`CheriMemory::caps_invalidate`]; returns the
-    /// number of slots affected (same counting rule as
-    /// [`CapMeta::invalidate_range`]).
-    fn caps_invalidate_flat(&mut self, lo: u64, hi: u64) -> usize {
-        let cb = C::CAP_BYTES as u64;
-        let mode = self.cfg.tag_invalidation;
         if hi <= lo {
-            return 0;
+            return;
         }
         let mut affected = 0;
         let first = lo & !(cb - 1);
@@ -1251,53 +1188,34 @@ impl<C: Capability> CheriMemory<C> {
         if !self.spill_caps.is_empty() {
             affected += self.spill_caps.invalidate_range(lo, hi, cb, mode);
         }
-        affected
+        if affected > 0 {
+            self.stats.tag_clears += affected as u64;
+            self.stats.tag_clears_by_reason[reason.code() as usize] += affected as u64;
+            self.emit(|| MemEvent::CapTagClear {
+                addr: lo,
+                count: affected as u64,
+                reason,
+            });
+        }
     }
 
-    fn write_data_bytes(&mut self, addr: u64, data: &[u8]) {
-        if self.cfg.legacy_store {
-            for (i, b) in data.iter().enumerate() {
-                self.bytes.insert(addr + i as u64, AbsByte::data(*b));
-            }
-        } else {
-            let end = addr + data.len() as u64;
-            let mut cur = addr;
-            while cur < end {
-                if let Some(i) = self.index_pos(cur) {
-                    let (base, a_end, id) = self.index[i];
-                    let take = (a_end.min(end) - cur) as usize;
-                    let off = (cur - base) as usize;
-                    let src = (cur - addr) as usize;
-                    let a = self.alloc_mut(id).expect("indexed allocation");
-                    for t in 0..take {
-                        a.buf[off + t] = AbsByte::data(data[src + t]);
-                    }
-                    cur += take as u64;
-                } else {
-                    let j = self.index.partition_point(|e| e.0 <= cur);
-                    let stop = self
-                        .index
-                        .get(j)
-                        .map_or(end, |e| e.0.min(end));
-                    for k in cur..stop {
-                        self.spill.insert(k, AbsByte::data(data[(k - addr) as usize]));
-                    }
-                    cur = stop;
-                }
-            }
-        }
-        self.caps_invalidate(addr, addr + data.len() as u64, TagClearReason::NonCapWrite);
+    /// A non-capability write (§4.3): store the bytes, then invalidate
+    /// every capability slot they touch.
+    fn store_data(&mut self, addr: u64, bytes: Bytes<'_>) {
+        let n = bytes.len() as u64;
+        self.write_bytes(addr, bytes);
+        self.caps_invalidate(addr, addr + n, TagClearReason::NonCapWrite);
         self.stats.stores += 1;
     }
 
-    /// Raw byte copy without checks (used by realloc internally).
+    /// Raw byte copy without checks (`memcpy` and `realloc`).
     fn copy_bytes_raw(&mut self, src: u64, dst: u64, n: u64) {
-        let mut bytes = std::mem::take(&mut self.copy_buf);
+        let mut bytes = std::mem::take(&mut self.scratch);
         bytes.clear();
         bytes.resize(n as usize, AbsByte::UNINIT);
         self.read_bytes_into(src, &mut bytes);
-        self.write_abs_bytes(dst, &bytes);
-        self.copy_buf = bytes;
+        self.write_bytes(dst, Bytes::Abs(&bytes));
+        self.scratch = bytes;
         // The copy is a (possibly partial) representation write to the
         // destination: any capability whose slot it touches is invalidated…
         let cb = C::CAP_BYTES as u64;
@@ -1441,10 +1359,10 @@ impl<C: Capability> CheriMemory<C> {
                     for (i, d) in data[..size as usize].iter_mut().enumerate() {
                         *d = (n >> (8 * i)) as u8;
                     }
-                    self.write_data_bytes(addr, &data[..size as usize]);
+                    self.store_data(addr, Bytes::Data(&data[..size as usize]));
                 } else {
                     let data: Vec<u8> = (0..size).map(|i| (n >> (8 * i)) as u8).collect();
-                    self.write_data_bytes(addr, &data);
+                    self.store_data(addr, Bytes::Data(&data));
                 }
                 Ok(())
             }
@@ -1519,7 +1437,7 @@ impl<C: Capability> CheriMemory<C> {
             for (i, o) in abs[..size as usize].iter_mut().enumerate() {
                 *o = AbsByte::pointer(v.prov, (a >> (8 * i)) as u8, i as u8);
             }
-            self.write_abs_bytes(addr, &abs[..size as usize]);
+            self.write_bytes(addr, Bytes::Abs(&abs[..size as usize]));
             self.stats.stores += 1;
         }
         Ok(())
@@ -1534,7 +1452,7 @@ impl<C: Capability> CheriMemory<C> {
         for (i, o) in abs[..enc.len()].iter_mut().enumerate() {
             *o = AbsByte::pointer(prov, enc[i], i as u8);
         }
-        self.write_abs_bytes(addr, &abs[..enc.len()]);
+        self.write_bytes(addr, Bytes::Abs(&abs[..enc.len()]));
         if addr.is_multiple_of(cb) {
             self.slot_set(
                 addr,
@@ -1587,8 +1505,7 @@ impl<C: Capability> CheriMemory<C> {
             return Ok(());
         }
         self.check_access(dst, n, Access::Store)?;
-        let data = vec![byte; n as usize];
-        self.write_data_bytes(dst.addr(), &data);
+        self.store_data(dst.addr(), Bytes::Fill(byte, n as usize));
         Ok(())
     }
 
@@ -1606,27 +1523,15 @@ impl<C: Capability> CheriMemory<C> {
         }
         self.check_access(a, n, Access::Load)?;
         self.check_access(b, n, Access::Load)?;
-        let ba = self.read_bytes(a.addr(), n);
-        let bb = self.read_bytes(b.addr(), n);
-        for (x, y) in ba.iter().zip(bb.iter()) {
-            let (x, y) = if self.cfg.abstract_ub {
-                match (x.value(), y.value()) {
-                    (Some(x), Some(y)) => (x, y),
-                    _ => {
-                        return Err(MemError::ub(
-                            Ub::UninitialisedRead,
-                            "memcmp of uninitialised bytes",
-                        ))
-                    }
-                }
-            } else {
-                (x.concrete(), y.concrete())
-            };
-            if x != y {
-                return Ok(if x < y { -1 } else { 1 });
-            }
-        }
-        Ok(0)
+        let mut bytes = std::mem::take(&mut self.scratch);
+        bytes.clear();
+        bytes.resize(2 * n as usize, AbsByte::UNINIT);
+        let (ba, bb) = bytes.split_at_mut(n as usize);
+        self.read_bytes_into(a.addr(), ba);
+        self.read_bytes_into(b.addr(), bb);
+        let order = compare_bytes(ba, bb, self.cfg.abstract_ub);
+        self.scratch = bytes;
+        order
     }
 
     // ── Pointer arithmetic and comparison ────────────────────────────────
@@ -1842,15 +1747,11 @@ impl<C: Capability> CheriMemory<C> {
     /// Number of tagged capabilities currently in memory.
     #[must_use]
     pub fn tagged_caps_in_memory(&self) -> usize {
-        if self.cfg.legacy_store {
-            self.caps.tagged_count()
-        } else {
-            self.allocations
-                .iter()
-                .map(|a| a.slots.tagged_count())
-                .sum::<usize>()
-                + self.spill_caps.tagged_count()
-        }
+        self.allocations
+            .iter()
+            .map(|a| a.slots.tagged_count())
+            .sum::<usize>()
+            + self.spill_caps.tagged_count()
     }
 
     /// Direct access to the capability metadata of an aligned slot (tests).

@@ -6,9 +6,13 @@
 //!
 //! * `A` is the allocation map ([`Allocation`], [`AllocId`]),
 //! * `S` is PNVI-ae-udi provenance bookkeeping ([`Provenance`], iotas),
-//! * `B` is the byte dictionary (`ℤ ⇀ AbsByte`, [`AbsByte`]),
-//! * `C` is the capability-metadata dictionary: per capability-aligned slot,
-//!   a tag and a two-bit ghost state ([`CapMeta`]).
+//! * `B` is the byte map (`ℤ ⇀ AbsByte`, [`AbsByte`]),
+//! * `C` is the capability-metadata map: per capability-aligned slot, a tag
+//!   and a two-bit ghost state ([`SlotMeta`]).
+//!
+//! `B` and `C` are stored per allocation (a byte buffer and a
+//! [`CapSlotBits`] bitset over its reserved footprint), with a sparse spill
+//! ([`CapMeta`] for slots) for the addresses between footprints.
 //!
 //! The central type is [`CheriMemory`], generic over the capability model
 //! ([`cheri_cap::Capability`]). Three configurations cover the paper's

@@ -293,10 +293,10 @@ fn packed_absbyte_roundtrip_lossless() {
     );
 }
 
-// ── Differential: flat store vs legacy store ─────────────────────────────
+// ── Frozen referee: the byte store against blessed digests ──────────────
 
-/// A mixed (deliberately UB-capable) operation for the store-equivalence
-/// referee: every outcome, including errors, is compared across stores.
+/// A mixed (deliberately UB-capable) operation for the store referee: every
+/// outcome, including errors, is part of the logged observables.
 #[derive(Clone, Debug)]
 enum MOp {
     Alloc { size: u8 },
@@ -431,41 +431,60 @@ fn run_mixed<C: Capability>(cfg: MemConfig, ops: &[MOp]) -> Vec<String> {
     log
 }
 
-/// The flat per-allocation store and the legacy global-dictionary store
-/// are observably identical — results (including UB/trap errors), traces,
-/// capability slots, stats, and byte contents — across every profile
-/// family, including the revocation-on-free CHERIoT configuration.
-#[test]
-fn legacy_and_flat_stores_agree() {
+/// FNV-1a over the log's lines, each terminated by `\n`.
+fn log_digest(log: &[String]) -> u64 {
+    log.iter()
+        .flat_map(|l| l.bytes().chain([b'\n']))
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+}
+
+/// [`run_mixed`] under one of the referee's four configurations, named as
+/// in the golden file.
+fn referee_log(config: &str, ops: &[MOp]) -> Vec<String> {
     use cheri_cap::{CcCap, CheriotProfile};
     use crate::AddressLayout;
 
-    check("legacy_and_flat_stores_agree", Config::cases(96), arb_mops, |ops| {
-        let morello_cfgs = [
-            MemConfig::cheri_reference(),
+    match config {
+        "cheri_reference" => run_mixed::<MorelloCap>(MemConfig::cheri_reference(), ops),
+        "cheri_hardware" => run_mixed::<MorelloCap>(
             MemConfig::cheri_hardware(AddressLayout::clang_morello()),
-            MemConfig::iso_baseline(),
-        ];
-        for cfg in morello_cfgs {
-            let mut legacy = cfg;
-            legacy.legacy_store = true;
-            let mut flat = cfg;
-            flat.legacy_store = false;
-            assert_eq!(
-                run_mixed::<MorelloCap>(flat, ops),
-                run_mixed::<MorelloCap>(legacy, ops),
-                "stores diverge under {cfg:?}"
-            );
-        }
-        let cfg = MemConfig::cheriot();
-        let mut legacy = cfg;
-        legacy.legacy_store = true;
-        let mut flat = cfg;
-        flat.legacy_store = false;
-        assert_eq!(
-            run_mixed::<CcCap<CheriotProfile>>(flat, ops),
-            run_mixed::<CcCap<CheriotProfile>>(legacy, ops),
-            "stores diverge under {cfg:?}"
+            ops,
+        ),
+        "iso_baseline" => run_mixed::<MorelloCap>(MemConfig::iso_baseline(), ops),
+        "cheriot" => run_mixed::<CcCap<CheriotProfile>>(MemConfig::cheriot(), ops),
+        other => panic!("unknown referee configuration {other:?}"),
+    }
+}
+
+/// The byte store against a frozen referee. Each golden line names a case
+/// of mixed operations (regenerated from its seed), one of four
+/// configurations, and the digest and length of [`run_mixed`]'s full log.
+/// The digests were blessed while the model still had a second store, a
+/// global per-byte dictionary, by a run that asserted both stores logged
+/// the same on every line; cases 0–95 are the ones the property comparing
+/// the two stores ran. There is no bless mode: no second store is left to
+/// check a new blessing against. A mismatch prints the whole log.
+#[test]
+fn store_matches_frozen_referee() {
+    const GOLDEN: &str = include_str!("../golden/store_referee.txt");
+    let mut records = 0;
+    for line in GOLDEN.lines().filter(|l| !l.starts_with('#')) {
+        let [case, seed, config, digest, len] = line.split(' ').collect::<Vec<_>>()[..] else {
+            panic!("malformed golden line {line:?}");
+        };
+        let seed = u64::from_str_radix(seed.trim_start_matches("0x"), 16).expect("hex seed");
+        let ops = arb_mops(&mut Rng::seed_from_u64(seed));
+        let log = referee_log(config, &ops);
+        let got = format!("{:016x} {}", log_digest(&log), log.len());
+        assert!(
+            got == format!("{digest} {len}"),
+            "case {case} under {config}: digest {got}, referee {digest} {len}\n\
+             ops: {ops:?}\nlog:\n{}",
+            log.join("\n")
         );
-    });
+        records += 1;
+    }
+    assert_eq!(records, 256 * 4, "referee golden is truncated");
 }

@@ -698,7 +698,7 @@ fn overlapping_backward_memcpy_invalidates_the_moved_tag() {
     // dst < src with overlap: the destination-range invalidation hits the
     // source slot *before* the tag transfer, so the moved capability comes
     // out ghost-invalidated (abstract) or untagged (hardware). This pins
-    // the legacy semantics so the flat store cannot silently change them.
+    // that order so a change to the store cannot silently alter it.
     let mut r = reference();
     let x = r.allocate_object("x", 4, 4, false, Some(&[0; 4])).unwrap();
     let buf = r.allocate_object("buf", 48, 16, false, Some(&[0; 48])).unwrap();
@@ -717,4 +717,60 @@ fn overlapping_backward_memcpy_invalidates_the_moved_tag() {
     h.store_ptr(&mid, &x).unwrap();
     h.memcpy(&buf, &mid, 32).unwrap();
     assert!(!h.cap_meta_at(buf.addr()).tag, "hardware cleared the tag");
+}
+
+// ── The spill: bytes outside every reserved footprint ────────────────────
+
+/// Without representability padding, CHERI-Concentrate rounds the bounds of
+/// a 0x4321-byte allocation up to +0x4340 (§3.2), past its reserved
+/// footprint, so checked accesses reach the gap behind it. This pins what
+/// the store does there: the spill keeps those bytes and capability slots,
+/// and an allocation placed over spilled bytes reads its own fresh buffer.
+#[test]
+fn unpadded_bounds_reach_the_spill() {
+    let mut cfg = MemConfig::cheri_hardware(AddressLayout::clang_morello());
+    cfg.pad_for_representability = false;
+    let mut m = Mem::new(cfg);
+    let p = m.allocate_region(0x4321, 16).unwrap();
+    let top = p.cap.bounds().top - u128::from(p.addr());
+    assert_eq!((m.allocations()[0].reserved_size, top), (0x4321, 0x4340));
+    let at = |m: &mut Mem, off: i64| m.array_shift(&p, 1, off).unwrap();
+
+    // A store wholly in the gap reads back.
+    let gap = at(&mut m, 0x4325);
+    m.store_int(&gap, 1, &IntVal::Num(77)).unwrap();
+    assert_eq!(m.load_int(&gap, 1, false, false).unwrap().value(), 77);
+    // One access across the reserved end: an allocation step, then a gap.
+    let across = at(&mut m, 0x431f);
+    m.store_int(&across, 4, &IntVal::Num(0x0403_0201)).unwrap();
+    assert_eq!(
+        m.load_int(&across, 4, false, false).unwrap().value(),
+        0x0403_0201
+    );
+
+    // A byte spilled at +0x4334 is shadowed once the next heap allocation
+    // lands on +0x4330: reads there see that allocation's fresh buffer,
+    // while the gap below it keeps its byte.
+    let shadowed = at(&mut m, 0x4334);
+    m.store_int(&shadowed, 1, &IntVal::Num(77)).unwrap();
+    let next = m.allocate_region(16, 16).unwrap();
+    assert_eq!(next.addr(), p.addr() + 0x4330);
+    expect_ub(
+        m.load_int(&shadowed, 1, false, false),
+        Ub::UninitialisedRead,
+    );
+    assert_eq!(m.load_int(&gap, 1, false, false).unwrap().value(), 77);
+
+    // A capability in the slot at +0x4320, whose last 15 bytes are in the
+    // gap: its metadata lives in the spill, keeps its tag and is counted.
+    let slot = at(&mut m, 0x4320);
+    let x = m
+        .allocate_object("x", 16, 16, false, Some(&[0; 16]))
+        .unwrap();
+    m.store_ptr(&slot, &x).unwrap();
+    assert!(m.cap_meta_at(slot.addr()).tag);
+    assert_eq!(m.tagged_caps_in_memory(), 1);
+    let back = m.load_ptr(&slot).unwrap();
+    assert!(back.cap.tag() && back.cap.exact_eq(&x.cap));
+    assert_eq!(back.prov, x.prov);
 }

@@ -177,6 +177,43 @@ fn batch_outputs_preserve_submission_order() {
     assert_eq!(out[3].profiles[0].outcome, "exit(2)");
 }
 
+/// On a single worker, a job whose array size divides by zero and then a
+/// good job both come back rendered. The parser used to panic on that
+/// constant, which killed the only worker and left the batch waiting for
+/// ever, so the batch runs on a helper thread under a deadline.
+#[test]
+fn one_worker_batch_survives_an_unfoldable_constant() {
+    let jobs = vec![
+        job(
+            "bad",
+            "int a[1/0];\nint main(void) { return 0; }",
+            vec![Profile::cerberus()],
+            Mode::Run,
+        ),
+        job("good", OK_PROGRAM, vec![Profile::cerberus()], Mode::Run),
+    ];
+    let (tx, rx) = std::sync::mpsc::channel();
+    let batch = std::thread::spawn(move || {
+        let out = run_batch::<MorelloCap>(jobs, 1);
+        let rendered: Vec<String> = out.iter().map(crate::job::JobOutput::render).collect();
+        let _ = tx.send(rendered);
+    });
+    let rendered = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the batch finishes within 30 s");
+    batch.join().expect("the batch thread exits cleanly");
+    assert_eq!(
+        rendered[0],
+        "=== job bad [run] ===\n── cerberus ──\n\
+         → error: parse error at 1:7: cannot fold `1 / 0` to a constant\n"
+    );
+    assert!(
+        rendered[1].starts_with("=== job good [run] ===\n── cerberus ──\n→ exit(42)\n"),
+        "{}",
+        rendered[1]
+    );
+}
+
 #[test]
 fn worker_counts_agree_byte_for_byte() {
     let mk = || {

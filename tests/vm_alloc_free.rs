@@ -3,9 +3,10 @@
 //!
 //! Runtime values are plain data (a pointer is its provenance and
 //! capability, with no C type attached), call and builtin arguments go
-//! through a reused buffer, and C-string builtins read into a reused byte
-//! buffer. So a loop that allocates no C objects must cost the same number
-//! of host allocations whatever its trip count. Each program below runs at
+//! through a reused buffer, C-string builtins read into a reused byte
+//! buffer, `memset` writes without a staging buffer and `memcmp` compares
+//! in a reused one. So a loop that allocates no C objects must cost the
+//! same number of host allocations whatever its trip count. Each program below runs at
 //! `R` and `2R` outer iterations under `cerberus`, its fast mode and
 //! `clang-morello-O0`; a per-thread counting allocator (local to this test
 //! binary) counts the allocations made by the run alone, after parsing and
@@ -175,12 +176,30 @@ int main(void) {
   return (int)(acc % 101);
 }"#;
 
-const PROGRAMS: [(&str, &str); 5] = [
+/// Two `memset`s and a `memcmp` per round.
+const MEMOPS: &str = "
+int main(void) {
+  char a[48];
+  char b[48];
+  long acc = 0;
+  int r;
+  int c;
+  for (r = 0; r < ROUNDS; r++) {
+    memset(a, 'a' + r % 7, sizeof(a));
+    memset(b, 'a' + r % 5, 40);
+    c = memcmp(a, b, 40);
+    acc += c < 0 ? 1 : (c > 0 ? 2 : 3);
+  }
+  return (int)(acc % 101);
+}";
+
+const PROGRAMS: [(&str, &str); 6] = [
     ("dispatch", DISPATCH),
     ("bounds", BOUNDS),
     ("cap-copy", CAP_COPY),
     ("list", LIST),
     ("strings", STRINGS),
+    ("memops", MEMOPS),
 ];
 
 fn profiles() -> Vec<Profile> {
