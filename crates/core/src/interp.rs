@@ -15,7 +15,7 @@ use cheri_mem::{AllocKind, CheriMemory, IntVal, MemError, MemEvent, Provenance, 
 use crate::ast::{BinOp, UnOp};
 use crate::lex::Pos;
 use crate::profile::Profile;
-use crate::report::{Outcome, RunResult};
+use crate::report::{Outcome, RunResult, STEP_LIMIT};
 use crate::tast::*;
 use crate::types::{FloatTy, IntTy, Ty, TypeTable};
 
@@ -217,12 +217,12 @@ static STREAM_TY: std::sync::LazyLock<Ty> = std::sync::LazyLock::new(|| Ty::ptr(
 /// The interpreter.
 pub struct Interp<'p, C: Capability> {
     prog: &'p TProgram,
-    pub(crate) profile: &'p Profile,
+    profile: &'p Profile,
     /// The memory object model instance (exposed for statistics).
     pub mem: CheriMemory<C>,
     pub(crate) globals: HashMap<String, (PtrVal<C>, &'p Ty)>,
-    pub(crate) func_ptrs: HashMap<String, PtrVal<C>>,
-    pub(crate) addr_to_func: HashMap<u64, String>,
+    func_ptrs: HashMap<String, PtrVal<C>>,
+    addr_to_func: HashMap<u64, String>,
     strings: HashMap<String, PtrVal<C>>,
     stdout: String,
     stderr: String,
@@ -243,6 +243,19 @@ pub struct Interp<'p, C: Capability> {
 
 fn types_size(tt: &TypeTable, ty: &Ty) -> u64 {
     tt.size_of(ty)
+}
+
+/// How many calls may be active at once.
+const MAX_CALL_DEPTH: u32 = 256;
+
+/// `v` at the precision of `fty`: a `float` result is rounded through
+/// f32 (values are kept as f64).
+fn round_to(fty: FloatTy, v: f64) -> f64 {
+    if fty == FloatTy::F32 {
+        f64::from(v as f32)
+    } else {
+        v
+    }
 }
 
 impl<'p, C: Capability> Interp<'p, C> {
@@ -516,7 +529,7 @@ impl<'p, C: Capability> Interp<'p, C> {
     pub(crate) fn tick(&mut self) -> EResult<()> {
         self.steps += 1;
         if self.steps > self.max_steps {
-            return Err(Stop::Limit("step limit exceeded".into()));
+            return Err(Stop::Limit(STEP_LIMIT.into()));
         }
         Ok(())
     }
@@ -537,7 +550,7 @@ impl<'p, C: Capability> Interp<'p, C> {
         }
     }
 
-    pub(crate) fn ub(&self, ub: Ub, detail: impl Into<String>) -> Stop {
+    fn ub(&self, ub: Ub, detail: impl Into<String>) -> Stop {
         Stop::Mem(MemError::ub(ub, detail))
     }
 
@@ -557,9 +570,9 @@ impl<'p, C: Capability> Interp<'p, C> {
         }
     }
 
-    /// Convert an integer value between integer types (the runtime half of
-    /// `CastKind::IntToInt`).
-    pub(crate) fn convert_int(&self, v: &IntVal<C>, _from: IntTy, to: IntTy) -> IntVal<C> {
+    /// Convert an integer value to integer type `to` (the runtime half of
+    /// `CastKind::IntToInt`; the source type does not matter).
+    fn convert_int(&self, v: &IntVal<C>, to: IntTy) -> IntVal<C> {
         if to.is_capability() {
             match v {
                 IntVal::Cap { cap, prov, .. } => IntVal::Cap {
@@ -578,7 +591,7 @@ impl<'p, C: Capability> Interp<'p, C> {
     /// the result address is set on the derivation-source capability; if
     /// that makes it non-representable, the tag is cleared and — in the
     /// abstract machine — the ghost state records the excursion.
-    pub(crate) fn derive_cap_result(
+    fn derive_cap_result(
         &mut self,
         src: &IntVal<C>,
         ity: IntTy,
@@ -678,16 +691,13 @@ impl<'p, C: Capability> Interp<'p, C> {
 
     /// §3.8 strict sub-object bounds: when enabled, taking the address of
     /// (or decaying) a struct member or array element narrows the
-    /// capability to that sub-object's footprint. The paper's default (and
-    /// ours) leaves this off to keep the container-of idiom working.
-    fn maybe_narrow_subobject(&self, p: PtrVal<C>, lv: &TExpr) -> PtrVal<C> {
+    /// capability to that sub-object's `size`-byte footprint. The paper's
+    /// default (and ours) leaves this off to keep the container-of idiom
+    /// working.
+    pub(crate) fn narrow_subobject(&self, p: PtrVal<C>, size: u64) -> PtrVal<C> {
         if !self.profile.subobject_bounds || !self.profile.mem.capabilities {
             return p;
         }
-        if !matches!(lv.kind, TExprKind::LvMember(..)) {
-            return p;
-        }
-        let size = types_size(&self.prog.types, &lv.ty);
         PtrVal::new(p.prov, p.cap.with_bounds(p.addr(), size))
     }
 
@@ -711,6 +721,17 @@ impl<'p, C: Capability> Interp<'p, C> {
 
     // ── Initialisers ─────────────────────────────────────────────────────
 
+    /// Store the string-literal initialiser `s` and its terminator into
+    /// the array at `p`, one byte at the start of each `elem`-byte
+    /// element.
+    pub(crate) fn init_str(&mut self, p: &PtrVal<C>, s: &str, elem: u64) -> EResult<()> {
+        for (i, b) in s.bytes().chain(std::iter::once(0)).enumerate() {
+            let ep = self.mem.member_shift(p, i as u64 * elem);
+            self.mem.store_int(&ep, 1, &IntVal::Num(i128::from(b)))?;
+        }
+        Ok(())
+    }
+
     fn run_init(
         &mut self,
         frame: &mut Frame<'p, C>,
@@ -725,12 +746,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 self.store_value(p, ty, &v)
             }
             (Ty::Array(elem, _), TInit::Str(s)) => {
-                let esz = types_size(&prog.types, elem);
-                for (i, b) in s.bytes().chain(std::iter::once(0)).enumerate() {
-                    let ep = self.mem.member_shift(p, i as u64 * esz);
-                    self.mem.store_int(&ep, 1, &IntVal::Num(i128::from(b)))?;
-                }
-                Ok(())
+                self.init_str(p, s, types_size(&prog.types, elem))
             }
             (Ty::Array(elem, _), TInit::List(items)) => {
                 let esz = types_size(&prog.types, elem);
@@ -889,19 +905,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 let d = self.eval(frame, dst)?;
                 let s = self.eval(frame, src)?;
                 let n = self.eval(frame, n)?;
-                let (d, s) = match (d.as_ptr(), s.as_ptr()) {
-                    (Some(d), Some(s)) => (d.clone(), s.clone()),
-                    _ => return Err(Stop::Unsupported("OptMemcpy operands".into())),
-                };
-                // A non-integer length is malformed IR, not "copy nothing":
-                // stay loud (and identical to the VM) rather than silently
-                // diverging from what the optimiser intended.
-                let n = n
-                    .as_int()
-                    .map(IntVal::value)
-                    .ok_or_else(|| Stop::Unsupported("OptMemcpy length is not an integer".into()))?
-                    as u64;
-                self.mem.memcpy(&d, &s, n)?;
+                self.opt_memcpy(&d, &s, &n)?;
                 Ok(Flow::Normal)
             }
             TStmt::Empty => Ok(Flow::Normal),
@@ -927,13 +931,10 @@ impl<'p, C: Capability> Interp<'p, C> {
                 }
                 Err(Stop::Unsupported(format!("unbound variable `{name}`")))
             }
-            TExprKind::LvDeref(p) => match self.eval(frame, p)? {
-                Value::Ptr(v) => Ok((v, &e.ty)),
-                Value::Int { v, .. } => Ok((self.mem.cast_int_to_ptr(&v), &e.ty)),
-                Value::Float { .. } | Value::Void => {
-                    Err(Stop::Unsupported("deref of non-pointer".into()))
-                }
-            },
+            TExprKind::LvDeref(p) => {
+                let v = self.eval(frame, p)?;
+                Ok((self.deref(v)?, &e.ty))
+            }
             TExprKind::LvMember(base, off) => {
                 let (p, _) = self.eval_lvalue(frame, base)?;
                 Ok((self.mem.member_shift(&p, *off), &e.ty))
@@ -971,16 +972,14 @@ impl<'p, C: Capability> Interp<'p, C> {
             }
             TExprKind::AddrOf(lv) | TExprKind::Decay(lv) => {
                 let (p, _) = self.eval_lvalue(frame, lv)?;
-                Ok(Value::Ptr(self.maybe_narrow_subobject(p, lv)))
+                Ok(Value::Ptr(match lv.kind {
+                    TExprKind::LvMember(..) => {
+                        self.narrow_subobject(p, types_size(&self.prog.types, &lv.ty))
+                    }
+                    _ => p,
+                }))
             }
-            TExprKind::FuncAddr(name) => {
-                let p = self
-                    .func_ptrs
-                    .get(name)
-                    .cloned()
-                    .ok_or_else(|| Stop::Unsupported(format!("unknown function `{name}`")))?;
-                Ok(Value::Ptr(p))
-            }
+            TExprKind::FuncAddr(name) => self.func_addr(name),
             TExprKind::Binary {
                 op,
                 lhs,
@@ -1021,55 +1020,19 @@ impl<'p, C: Capability> Interp<'p, C> {
                 let pv = self.eval(frame, ptr)?;
                 let iv = self.eval(frame, idx)?;
                 self.pos = e.pos;
-                let p = pv
-                    .as_ptr()
-                    .ok_or_else(|| Stop::Unsupported("pointer arithmetic on non-pointer".into()))?;
-                let mut i = iv.as_int().map(IntVal::value).unwrap_or(0);
-                if *neg {
-                    i = -i;
-                }
-                Ok(Value::Ptr(self.mem.array_shift(p, *elem, i as i64)?))
+                self.ptr_add(&pv, &iv, *elem, *neg)
             }
             TExprKind::PtrDiff { a, b, elem } => {
                 let av = self.eval(frame, a)?;
                 let bv = self.eval(frame, b)?;
                 self.pos = e.pos;
-                let (ap, bp) = match (av.as_ptr(), bv.as_ptr()) {
-                    (Some(a), Some(b)) => (a, b),
-                    _ => return Err(Stop::Unsupported("pointer difference operands".into())),
-                };
-                let d = self.mem.ptr_diff(ap, bp, *elem)?;
-                Ok(Value::Int {
-                    ity: IntTy::Long,
-                    v: IntVal::Num(i128::from(d)),
-                })
+                self.ptr_diff(&av, &bv, *elem)
             }
             TExprKind::PtrCmp { op, a, b } => {
                 let av = self.eval(frame, a)?;
                 let bv = self.eval(frame, b)?;
                 self.pos = e.pos;
-                let (ap, bp) = match (av.as_ptr(), bv.as_ptr()) {
-                    (Some(a), Some(b)) => (a.clone(), b.clone()),
-                    _ => return Err(Stop::Unsupported("pointer comparison operands".into())),
-                };
-                let r = match op {
-                    BinOp::Eq => self.mem.ptr_eq(&ap, &bp),
-                    BinOp::Ne => !self.mem.ptr_eq(&ap, &bp),
-                    _ => {
-                        let ord = self.mem.ptr_rel_cmp(&ap, &bp)?;
-                        match op {
-                            BinOp::Lt => ord == std::cmp::Ordering::Less,
-                            BinOp::Le => ord != std::cmp::Ordering::Greater,
-                            BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                            BinOp::Ge => ord != std::cmp::Ordering::Less,
-                            _ => unreachable!("comparison op"),
-                        }
-                    }
-                };
-                Ok(Value::Int {
-                    ity: IntTy::Int,
-                    v: IntVal::Num(i128::from(r)),
-                })
+                self.ptr_compare(*op, &av, &bv)
             }
             TExprKind::Cast { kind, arg } => self.eval_cast(frame, e, *kind, arg),
             TExprKind::Assign { lv, rhs } => {
@@ -1099,88 +1062,30 @@ impl<'p, C: Capability> Interp<'p, C> {
                 derive,
             } => {
                 let (p, ty) = self.eval_lvalue(frame, lv)?;
-                if let Some(common_f) = common.as_float() {
+                let out = if let Some(cf) = common.as_float() {
                     let cur = self.load_value(&p, ty)?;
-                    let cur_f = match &cur {
-                        Value::Float { v, .. } => *v,
-                        Value::Int { v, .. } => v.value() as f64,
-                        _ => return Err(Stop::Unsupported("compound float target".into())),
-                    };
                     let rv = self.eval(frame, rhs)?;
                     self.pos = e.pos;
-                    let res = self.binary_float(
-                        *op,
-                        &Value::Float { fty: common_f, v: cur_f },
-                        &rv,
-                        common,
-                    )?;
-                    let res_f = res.as_float().expect("float result");
-                    let out = match ty {
-                        Ty::Float(fty) => Value::Float {
-                            fty: *fty,
-                            v: if *fty == FloatTy::F32 {
-                                f64::from(res_f as f32)
-                            } else {
-                                res_f
-                            },
-                        },
-                        Ty::Int(it) => {
-                            let t = res_f.trunc();
-                            if !t.is_finite() || t < it.min() as f64 || t > it.max() as f64 {
-                                return Err(
-                                    self.ub(Ub::SignedOverflow, "float-to-int out of range")
-                                );
-                            }
-                            Value::Int { ity: *it, v: self.mk_int(*it, t as i128) }
-                        }
-                        t => return Err(Stop::Unsupported(format!("compound target {t}"))),
-                    };
-                    self.store_value(&p, ty, &out)?;
-                    return Ok(out);
-                }
-                let lt = ty.as_int().ok_or_else(|| {
-                    Stop::Unsupported("compound assignment on non-integer".into())
-                })?;
-                let ct = common.as_int().expect("common type is integer");
-                let cur = match self.load_value(&p, ty)? {
-                    Value::Int { v, .. } => v,
-                    _ => return Err(Stop::Unsupported("compound assignment load".into())),
+                    self.assign_op_float(*op, &cur, &rv, cf, ty)?
+                } else {
+                    let lt = ty.as_int().ok_or_else(|| {
+                        Stop::Unsupported("compound assignment on non-integer".into())
+                    })?;
+                    let ct = common.as_int().expect("common type is integer");
+                    let cur = self.load_value(&p, ty)?;
+                    let rv = self.eval(frame, rhs)?;
+                    self.pos = e.pos;
+                    self.assign_op_int(*op, &cur, &rv, lt, ct, *derive)?
                 };
-                let cur_c = self.convert_int(&cur, lt, ct);
-                let rv = self.eval(frame, rhs)?;
-                self.pos = e.pos;
-                let r = rv
-                    .as_int()
-                    .cloned()
-                    .ok_or_else(|| Stop::Unsupported("compound assignment rhs".into()))?;
-                let res = self.binary_int(
-                    *op,
-                    &Value::Int { ity: ct, v: cur_c },
-                    &Value::Int { ity: ct, v: r },
-                    ct,
-                    *derive,
-                )?;
-                let res_v = match &res {
-                    Value::Int { v, .. } => self.convert_int(v, ct, lt),
-                    _ => return Err(Stop::Unsupported("compound assignment result".into())),
-                };
-                let out = Value::Int { ity: lt, v: res_v };
                 self.store_value(&p, ty, &out)?;
                 Ok(out)
             }
             TExprKind::PtrAssignAdd { lv, idx, elem, neg } => {
                 let (p, ty) = self.eval_lvalue(frame, lv)?;
-                let cur = match self.load_value(&p, ty)? {
-                    Value::Ptr(v) => v,
-                    _ => return Err(Stop::Unsupported("pointer compound assignment".into())),
-                };
+                let cur = self.load_value(&p, ty)?;
                 let iv = self.eval(frame, idx)?;
                 self.pos = e.pos;
-                let mut i = iv.as_int().map(IntVal::value).unwrap_or(0);
-                if *neg {
-                    i = -i;
-                }
-                let out = Value::Ptr(self.mem.array_shift(&cur, *elem, i as i64)?);
+                let out = self.ptr_add(&cur, &iv, *elem, *neg)?;
                 self.store_value(&p, ty, &out)?;
                 Ok(out)
             }
@@ -1193,25 +1098,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 let (p, ty) = self.eval_lvalue(frame, lv)?;
                 self.pos = e.pos;
                 let old = self.load_value(&p, ty)?;
-                let new = match (&old, *elem) {
-                    (Value::Ptr(v), elem) if elem > 0 => {
-                        Value::Ptr(self.mem.array_shift(v, elem, if *inc { 1 } else { -1 })?)
-                    }
-                    (Value::Int { ity, v }, _) => {
-                        let delta = if *inc { 1 } else { -1 };
-                        let raw = v.value() + delta;
-                        if ity.signed() && !ity.is_capability() && !ity.fits(raw) {
-                            return Err(self.ub(Ub::SignedOverflow, "increment overflow"));
-                        }
-                        let nv = if ity.is_capability() {
-                            self.derive_cap_result(v, *ity, raw)
-                        } else {
-                            IntVal::Num(ity.wrap(raw))
-                        };
-                        Value::Int { ity: *ity, v: nv }
-                    }
-                    _ => return Err(Stop::Unsupported("increment target".into())),
-                };
+                let new = self.inc_dec(&old, *inc, *elem)?;
                 self.store_value(&p, ty, &new)?;
                 Ok(if *prefix { new } else { old })
             }
@@ -1248,85 +1135,35 @@ impl<'p, C: Capability> Interp<'p, C> {
             CastKind::IntToInt => {
                 let to = e.ty.as_int().expect("int target");
                 let from = arg.ty.as_int().expect("int source");
-                let v = av
-                    .as_int()
-                    .cloned()
-                    .ok_or_else(|| Stop::Unsupported("int cast operand".into()))?;
-                if from.is_capability() && !to.is_capability() && v.is_cap() {
+                if from.is_capability()
+                    && !to.is_capability()
+                    && av.as_int().is_some_and(IntVal::is_cap)
+                {
                     self.observe(Conversion::CapIntNarrowed);
                 }
-                Ok(Value::Int {
-                    ity: to,
-                    v: self.convert_int(&v, from, to),
-                })
+                self.int_to_int(&av, to)
             }
             CastKind::PtrToInt => {
                 let to = e.ty.as_int().expect("int target");
-                let p = av
-                    .as_ptr()
-                    .cloned()
-                    .ok_or_else(|| Stop::Unsupported("pointer cast operand".into()))?;
-                if !to.is_capability() {
+                if !to.is_capability() && av.as_ptr().is_some() {
                     self.observe(Conversion::PtrToPlainInt);
                 }
-                let size = types_size(&self.prog.types, &e.ty);
-                let v = self
-                    .mem
-                    .cast_ptr_to_int(&p, to.is_capability(), to.signed(), size);
-                Ok(Value::Int { ity: to, v })
+                self.ptr_to_int(&av, to, types_size(&self.prog.types, &e.ty))
             }
             CastKind::IntToPtr => {
-                let v = av
-                    .as_int()
-                    .cloned()
-                    .ok_or_else(|| Stop::Unsupported("int-to-pointer operand".into()))?;
-                if self.profile.mem.capabilities && !v.is_cap() && v.value() != 0 {
+                if self.profile.mem.capabilities
+                    && av.as_int().is_some_and(|v| !v.is_cap() && v.value() != 0)
+                {
                     self.observe(Conversion::PlainIntToPtr);
                 }
-                Ok(Value::Ptr(self.mem.cast_int_to_ptr(&v)))
+                self.int_to_ptr(&av)
             }
-            CastKind::IntToFloat => {
-                let fty = e.ty.as_float().expect("float target");
-                let n = av
-                    .as_int()
-                    .map(IntVal::value)
-                    .ok_or_else(|| Stop::Unsupported("int-to-float operand".into()))?;
-                let v = n as f64;
-                let v = if fty == FloatTy::F32 { f64::from(v as f32) } else { v };
-                Ok(Value::Float { fty, v })
-            }
-            CastKind::FloatToInt => {
-                let to = e.ty.as_int().expect("int target");
-                let f = av
-                    .as_float()
-                    .ok_or_else(|| Stop::Unsupported("float-to-int operand".into()))?;
-                let t = f.trunc();
-                // ISO 6.3.1.4p1: UB if the truncated value cannot be
-                // represented in the target type.
-                if !t.is_finite() || t < to.min() as f64 || t > to.max() as f64 {
-                    return Err(self.ub(Ub::SignedOverflow, "float-to-int out of range"));
-                }
-                Ok(Value::Int {
-                    ity: to,
-                    v: self.mk_int(to, t as i128),
-                })
-            }
+            CastKind::IntToFloat => self.int_to_float(&av, e.ty.as_float().expect("float target")),
+            CastKind::FloatToInt => self.float_to_int(&av, e.ty.as_int().expect("int target")),
             CastKind::FloatToFloat => {
-                let fty = e.ty.as_float().expect("float target");
-                let f = av
-                    .as_float()
-                    .ok_or_else(|| Stop::Unsupported("float cast operand".into()))?;
-                let v = if fty == FloatTy::F32 { f64::from(f as f32) } else { f };
-                Ok(Value::Float { fty, v })
+                self.float_to_float(&av, e.ty.as_float().expect("float target"))
             }
-            CastKind::PtrToPtr => {
-                // §3.9: pointer-to-pointer (and const-changing) casts are
-                // no-ops on the value.
-                if av.as_ptr().is_none() {
-                    return Err(Stop::Unsupported("pointer cast operand".into()));
-                }
-                Ok(av)
-            }
+            CastKind::PtrToPtr => self.ptr_to_ptr(&av),
         }
     }
 
@@ -1458,8 +1295,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             BinOp::Div => a / b, // IEEE: x/0 is ±inf/NaN, not UB
             _ => return Err(Stop::Unsupported("float operator".into())),
         };
-        let v = if fty == FloatTy::F32 { f64::from(v as f32) } else { v };
-        Ok(Value::Float { fty, v })
+        Ok(Value::Float { fty, v: round_to(fty, v) })
     }
 
     pub(crate) fn unary_int(&mut self, op: UnOp, a: &Value<C>, ity: IntTy) -> EResult<Value<C>> {
@@ -1494,6 +1330,287 @@ impl<'p, C: Capability> Interp<'p, C> {
         }
     }
 
+    // ── Operations both engines perform ──────────────────────────────────
+    //
+    // The tree walker and both forms of the VM (memory and `--fast`
+    // register) call these, so each C operation has one body. The callers
+    // only fetch the operands and put the result where it belongs.
+
+    /// `++`/`--` (ISO 6.5.2.4, 6.5.3.1): `old` moved by one, where a
+    /// pointer (`elem > 0`) moves by one `elem`-byte element.
+    #[inline]
+    pub(crate) fn inc_dec(&mut self, old: &Value<C>, inc: bool, elem: u64) -> EResult<Value<C>> {
+        let delta = if inc { 1 } else { -1 };
+        match old {
+            Value::Ptr(v) if elem > 0 => Ok(Value::Ptr(self.mem.array_shift(v, elem, delta)?)),
+            Value::Int { ity, v } => {
+                let raw = v.value() + i128::from(delta);
+                if ity.signed() && !ity.is_capability() && !ity.fits(raw) {
+                    return Err(self.ub(Ub::SignedOverflow, "increment overflow"));
+                }
+                let v = if ity.is_capability() {
+                    self.derive_cap_result(v, *ity, raw)
+                } else {
+                    IntVal::Num(ity.wrap(raw))
+                };
+                Ok(Value::Int { ity: *ity, v })
+            }
+            _ => Err(Stop::Unsupported("increment target".into())),
+        }
+    }
+
+    /// Integer `lv op= rhs` (ISO 6.5.16.2): the target's value `cur` (of
+    /// type `lt`) is converted to the common type `ct`, combined with
+    /// `rhs`, and the result converted back to `lt`.
+    #[inline]
+    pub(crate) fn assign_op_int(
+        &mut self,
+        op: BinOp,
+        cur: &Value<C>,
+        rhs: &Value<C>,
+        lt: IntTy,
+        ct: IntTy,
+        derive: DeriveFrom,
+    ) -> EResult<Value<C>> {
+        let cur = cur
+            .as_int()
+            .ok_or_else(|| Stop::Unsupported("compound assignment load".into()))?;
+        let cur = Value::Int { ity: ct, v: self.convert_int(cur, ct) };
+        if rhs.as_int().is_none() {
+            return Err(Stop::Unsupported("compound assignment rhs".into()));
+        }
+        match self.binary_int(op, &cur, rhs, ct, derive)? {
+            Value::Int { v, .. } => Ok(Value::Int { ity: lt, v: self.convert_int(&v, lt) }),
+            _ => Err(Stop::Unsupported("compound assignment result".into())),
+        }
+    }
+
+    /// `lv op= rhs` at the floating common type `common`; the result is
+    /// converted to the target's type `ty` as a cast would.
+    #[inline]
+    pub(crate) fn assign_op_float(
+        &mut self,
+        op: BinOp,
+        cur: &Value<C>,
+        rhs: &Value<C>,
+        common: FloatTy,
+        ty: &Ty,
+    ) -> EResult<Value<C>> {
+        let cur = match cur {
+            Value::Float { v, .. } => *v,
+            Value::Int { v, .. } => v.value() as f64,
+            _ => return Err(Stop::Unsupported("compound float target".into())),
+        };
+        let cur = Value::Float { fty: common, v: cur };
+        let res = self.binary_float(op, &cur, rhs, &Ty::Float(common))?;
+        match ty {
+            Ty::Float(fty) => self.float_to_float(&res, *fty),
+            Ty::Int(ity) => self.float_to_int(&res, *ity),
+            t => Err(Stop::Unsupported(format!("compound target {t}"))),
+        }
+    }
+
+    /// `ptr ± idx` (ISO 6.5.6p8, §3.2): `ptr` moved by `idx` elements of
+    /// `elem` bytes. `lv += idx` and `lv -= idx` on a pointer compute
+    /// their new value with it too.
+    #[inline]
+    pub(crate) fn ptr_add(
+        &mut self,
+        ptr: &Value<C>,
+        idx: &Value<C>,
+        elem: u64,
+        neg: bool,
+    ) -> EResult<Value<C>> {
+        let p = ptr
+            .as_ptr()
+            .ok_or_else(|| Stop::Unsupported("pointer arithmetic on non-pointer".into()))?;
+        let i = idx.as_int().map(IntVal::value).unwrap_or(0);
+        let i = if neg { -i } else { i };
+        Ok(Value::Ptr(self.mem.array_shift(p, elem, i as i64)?))
+    }
+
+    /// `a - b` in elements of `elem` bytes (ISO 6.5.6p9), as a `long`.
+    pub(crate) fn ptr_diff(&mut self, a: &Value<C>, b: &Value<C>, elem: u64) -> EResult<Value<C>> {
+        let (Some(a), Some(b)) = (a.as_ptr(), b.as_ptr()) else {
+            return Err(Stop::Unsupported("pointer difference operands".into()));
+        };
+        let d = self.mem.ptr_diff(a, b, elem)?;
+        Ok(Value::Int { ity: IntTy::Long, v: IntVal::Num(i128::from(d)) })
+    }
+
+    /// `a op b` for pointers (§3.6): equality compares provenance-aware,
+    /// the relational operators through the memory model.
+    pub(crate) fn ptr_compare(
+        &mut self,
+        op: BinOp,
+        a: &Value<C>,
+        b: &Value<C>,
+    ) -> EResult<Value<C>> {
+        use std::cmp::Ordering;
+        let (Some(a), Some(b)) = (a.as_ptr(), b.as_ptr()) else {
+            return Err(Stop::Unsupported("pointer comparison operands".into()));
+        };
+        let r = match op {
+            BinOp::Eq => self.mem.ptr_eq(a, b),
+            BinOp::Ne => !self.mem.ptr_eq(a, b),
+            BinOp::Lt => self.mem.ptr_rel_cmp(a, b)? == Ordering::Less,
+            BinOp::Le => self.mem.ptr_rel_cmp(a, b)? != Ordering::Greater,
+            BinOp::Gt => self.mem.ptr_rel_cmp(a, b)? == Ordering::Greater,
+            BinOp::Ge => self.mem.ptr_rel_cmp(a, b)? != Ordering::Less,
+            // Only a malformed program gets here (typeck and lowering emit
+            // comparisons only); a long-lived service must not panic on it.
+            _ => {
+                return Err(Stop::Unsupported(format!(
+                    "malformed program: `{op:?}` is not a pointer comparison"
+                )))
+            }
+        };
+        Ok(Value::Int { ity: IntTy::Int, v: IntVal::Num(i128::from(r)) })
+    }
+
+    /// The object `*v` designates: a pointer, or an integer cast to one.
+    pub(crate) fn deref(&mut self, v: Value<C>) -> EResult<PtrVal<C>> {
+        match v {
+            Value::Ptr(p) => Ok(p),
+            Value::Int { v, .. } => Ok(self.mem.cast_int_to_ptr(&v)),
+            Value::Float { .. } | Value::Void => {
+                Err(Stop::Unsupported("deref of non-pointer".into()))
+            }
+        }
+    }
+
+    /// `&f` for the function named `name`: its sentry capability.
+    pub(crate) fn func_addr(&self, name: &str) -> EResult<Value<C>> {
+        self.func_ptrs
+            .get(name)
+            .map(|p| Value::Ptr(p.clone()))
+            .ok_or_else(|| Stop::Unsupported(format!("unknown function `{name}`")))
+    }
+
+    /// The entry of `funcs`, the engine's function table, that a call
+    /// through the function pointer `fv` enters. Under a capability
+    /// profile the pointer must be tagged and executable.
+    pub(crate) fn indirect_callee<'f, F>(
+        &self,
+        fv: &Value<C>,
+        funcs: &'f HashMap<String, F>,
+    ) -> EResult<&'f F> {
+        let p = fv
+            .as_ptr()
+            .ok_or_else(|| Stop::Unsupported("indirect call operand".into()))?;
+        if self.profile.mem.capabilities {
+            if !p.cap.tag() {
+                return Err(self.ub(Ub::CheriInvalidCap, "call via untagged function pointer"));
+            }
+            if !p.cap.perms().contains(Perms::EXECUTE) {
+                return Err(self.ub(
+                    Ub::CheriInsufficientPermissions,
+                    "call via non-executable capability",
+                ));
+            }
+        }
+        let name = self
+            .addr_to_func
+            .get(&p.addr())
+            .ok_or_else(|| Stop::Unsupported("indirect call to non-function".into()))?;
+        funcs
+            .get(name)
+            .ok_or_else(|| Stop::Unsupported(format!("call of undefined `{name}`")))
+    }
+
+    /// Count a call in: at most [`MAX_CALL_DEPTH`] may be active. The
+    /// caller counts it out (`call_depth -= 1`) when the callee's frame
+    /// is gone.
+    pub(crate) fn enter_call(&mut self) -> EResult<()> {
+        if self.call_depth == MAX_CALL_DEPTH {
+            return Err(Stop::Limit("call depth exceeded".into()));
+        }
+        self.call_depth += 1;
+        Ok(())
+    }
+
+    /// The §3.5 recognised byte-copy loop, run as one `memcpy`.
+    pub(crate) fn opt_memcpy(&mut self, d: &Value<C>, s: &Value<C>, n: &Value<C>) -> EResult<()> {
+        let (Some(d), Some(s)) = (d.as_ptr(), s.as_ptr()) else {
+            return Err(Stop::Unsupported("OptMemcpy operands".into()));
+        };
+        // A non-integer length is a malformed program, not "copy nothing".
+        let n = n
+            .as_int()
+            .map(IntVal::value)
+            .ok_or_else(|| Stop::Unsupported("OptMemcpy length is not an integer".into()))?;
+        self.mem.memcpy(d, s, n as u64)?;
+        Ok(())
+    }
+
+    // ── Scalar casts (the runtime half of `CastKind`) ───────────────────
+
+    /// `(to) v` for an integer `v`.
+    #[inline]
+    pub(crate) fn int_to_int(&self, v: &Value<C>, to: IntTy) -> EResult<Value<C>> {
+        let v = v
+            .as_int()
+            .ok_or_else(|| Stop::Unsupported("int cast operand".into()))?;
+        Ok(Value::Int { ity: to, v: self.convert_int(v, to) })
+    }
+
+    /// `(to) p` for a pointer `p`; `size` is the size of `to` in bytes.
+    pub(crate) fn ptr_to_int(&mut self, v: &Value<C>, to: IntTy, size: u64) -> EResult<Value<C>> {
+        let p = v
+            .as_ptr()
+            .ok_or_else(|| Stop::Unsupported("pointer cast operand".into()))?;
+        let v = self
+            .mem
+            .cast_ptr_to_int(p, to.is_capability(), to.signed(), size);
+        Ok(Value::Int { ity: to, v })
+    }
+
+    /// `(T *) v` for an integer `v` (PNVI-ae-udi).
+    pub(crate) fn int_to_ptr(&mut self, v: &Value<C>) -> EResult<Value<C>> {
+        let v = v
+            .as_int()
+            .ok_or_else(|| Stop::Unsupported("int-to-pointer operand".into()))?;
+        Ok(Value::Ptr(self.mem.cast_int_to_ptr(v)))
+    }
+
+    /// `(T *) p` for a pointer `p`: the capability is unchanged (§3.9).
+    pub(crate) fn ptr_to_ptr(&self, v: &Value<C>) -> EResult<Value<C>> {
+        if v.as_ptr().is_none() {
+            return Err(Stop::Unsupported("pointer cast operand".into()));
+        }
+        Ok(v.clone())
+    }
+
+    /// `(fty) v` for an integer `v`.
+    pub(crate) fn int_to_float(&self, v: &Value<C>, fty: FloatTy) -> EResult<Value<C>> {
+        let n = v
+            .as_int()
+            .map(IntVal::value)
+            .ok_or_else(|| Stop::Unsupported("int-to-float operand".into()))?;
+        Ok(Value::Float { fty, v: round_to(fty, n as f64) })
+    }
+
+    /// `(to) f` for a floating `f`, truncated toward zero: UB if the
+    /// result is not representable in `to` (ISO 6.3.1.4p1).
+    pub(crate) fn float_to_int(&self, v: &Value<C>, to: IntTy) -> EResult<Value<C>> {
+        let t = v
+            .as_float()
+            .ok_or_else(|| Stop::Unsupported("float-to-int operand".into()))?
+            .trunc();
+        if !t.is_finite() || t < to.min() as f64 || t > to.max() as f64 {
+            return Err(self.ub(Ub::SignedOverflow, "float-to-int out of range"));
+        }
+        Ok(Value::Int { ity: to, v: self.mk_int(to, t as i128) })
+    }
+
+    /// `(fty) f` for a floating `f`.
+    pub(crate) fn float_to_float(&self, v: &Value<C>, fty: FloatTy) -> EResult<Value<C>> {
+        let f = v
+            .as_float()
+            .ok_or_else(|| Stop::Unsupported("float cast operand".into()))?;
+        Ok(Value::Float { fty, v: round_to(fty, f) })
+    }
+
     // ── Calls ────────────────────────────────────────────────────────────
 
     fn eval_call(
@@ -1520,32 +1637,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             Callee::Indirect(fe) => {
                 let fv = self.eval(frame, fe)?;
                 self.pos = pos;
-                let p = fv
-                    .as_ptr()
-                    .ok_or_else(|| Stop::Unsupported("indirect call operand".into()))?;
-                if self.profile.mem.capabilities {
-                    if !p.cap.tag() {
-                        return Err(Stop::Mem(MemError::ub(
-                            Ub::CheriInvalidCap,
-                            "call via untagged function pointer",
-                        )));
-                    }
-                    if !p.cap.perms().contains(Perms::EXECUTE) {
-                        return Err(Stop::Mem(MemError::ub(
-                            Ub::CheriInsufficientPermissions,
-                            "call via non-executable capability",
-                        )));
-                    }
-                }
-                let name = self
-                    .addr_to_func
-                    .get(&p.addr())
-                    .cloned()
-                    .ok_or_else(|| Stop::Unsupported("indirect call to non-function".into()))?;
-                let f = prog
-                    .funcs
-                    .get(&name)
-                    .ok_or_else(|| Stop::Unsupported(format!("call of undefined `{name}`")))?;
+                let f = self.indirect_callee(&fv, &prog.funcs)?;
                 self.call_function(f, argv)
             }
             Callee::Builtin(b) => self.eval_builtin(*b, &argv),
@@ -1553,11 +1645,7 @@ impl<'p, C: Capability> Interp<'p, C> {
     }
 
     fn call_function(&mut self, f: &'p TFunc, args: Vec<Value<C>>) -> EResult<Value<C>> {
-        self.call_depth += 1;
-        if self.call_depth > 256 {
-            self.call_depth -= 1;
-            return Err(Stop::Limit("call depth exceeded".into()));
-        }
+        self.enter_call()?;
         let mut frame = Frame {
             vars: HashMap::new(),
             to_kill: Vec::new(),

@@ -1,22 +1,25 @@
 //! The bytecode engine: a flat match-on-opcode loop over [`Inst`].
 //!
-//! The VM owns control flow (explicit frames, pc, registers, slot
-//! bindings) and delegates every *semantic* step — value conversions,
-//! capability derivation, loads/stores, builtins, UB checks — to the same
-//! `Interp` helpers the tree engine uses, so the two engines produce
+//! The VM owns control flow: explicit frames, the pc, registers and slot
+//! bindings. Every C operation — arithmetic, `++`/`--`, compound
+//! assignment, pointer arithmetic and comparison, casts, indirect-call
+//! checks, the call-depth limit, loads, stores, builtins — is the same
+//! `Interp` method the tree engine calls, so the two engines produce
 //! identical memory-event streams, statistics and error messages by
-//! construction.
+//! construction. This file raises no undefined behaviour itself. A
+//! memory-form instruction and its register (`--fast`) form differ only
+//! in where they read and write the target.
 //!
 //! Frame teardown mirrors the tree engine exactly: a returning (or
 //! unwinding) frame kills its locals in reverse allocation order; a kill
 //! error replaces the in-flight error and aborts that frame's remaining
 //! kills, while outer frames still run theirs.
 
-use cheri_cap::{Capability, Perms};
-use cheri_mem::{IntVal, MemError, PtrVal, Ub};
+use cheri_cap::Capability;
+use cheri_mem::{IntVal, PtrVal};
 
 use crate::interp::{EResult, Interp, Stop, Value};
-use crate::types::{FloatTy, IntTy, Ty};
+use crate::types::IntTy;
 
 use super::{Inst, IrProgram, Reg};
 
@@ -96,11 +99,7 @@ fn push_frame<C: Capability>(
     args: &mut Vec<Value<C>>,
     ret_dst: Reg,
 ) -> EResult<()> {
-    it.call_depth += 1;
-    if it.call_depth > 256 {
-        it.call_depth -= 1;
-        return Err(Stop::Limit("call depth exceeded".into()));
-    }
+    it.enter_call()?;
     let func = &ir.funcs[f as usize];
     let mut frame = VmFrame {
         func: f,
@@ -242,11 +241,8 @@ fn dispatch<C: Capability>(
                 frame.regs[*dst as usize] = RVal::Val(Value::Ptr(p));
             }
             Inst::FuncAddr { dst, name, ty: _ } => {
-                let nm = &ir.strs[name.0 as usize];
-                let p = it.func_ptrs.get(nm).cloned().ok_or_else(|| {
-                    Stop::Unsupported(format!("unknown function `{nm}`"))
-                })?;
-                frame.regs[*dst as usize] = RVal::Val(Value::Ptr(p));
+                let v = it.func_addr(&ir.strs[name.0 as usize])?;
+                frame.regs[*dst as usize] = RVal::Val(v);
             }
             Inst::Move { dst, src } => {
                 let v = match &frame.regs[*src as usize] {
@@ -280,13 +276,7 @@ fn dispatch<C: Capability>(
                 frame.regs[*dst as usize] = RVal::Loc(gtab[g.0 as usize].clone());
             }
             Inst::DerefLoc { dst, src } => {
-                let p = match val(frame, *src)? {
-                    Value::Ptr(v) => v.clone(),
-                    Value::Int { v, .. } => it.mem.cast_int_to_ptr(v),
-                    Value::Float { .. } | Value::Void => {
-                        return Err(Stop::Unsupported("deref of non-pointer".into()))
-                    }
-                };
+                let p = it.deref(val(frame, *src)?.clone())?;
                 frame.regs[*dst as usize] = RVal::Loc(p);
             }
             Inst::MemberShift { dst, src, off } => {
@@ -313,12 +303,8 @@ fn dispatch<C: Capability>(
             Inst::AddrOf { dst, loc: l, ty: _, narrow } => {
                 let p = loc(frame, *l)?.clone();
                 let p = match narrow {
-                    Some(size)
-                        if it.profile.subobject_bounds && it.profile.mem.capabilities =>
-                    {
-                        PtrVal::new(p.prov, p.cap.with_bounds(p.addr(), *size))
-                    }
-                    _ => p,
+                    Some(size) => it.narrow_subobject(p, *size),
+                    None => p,
                 };
                 frame.regs[*dst as usize] = RVal::Val(Value::Ptr(p));
             }
@@ -328,18 +314,7 @@ fn dispatch<C: Capability>(
                 it.mem.memcpy(&d, &s, *n)?;
             }
             Inst::OptMemcpy { dst, src, n } => {
-                let (d, s) = match (val(frame, *dst)?.as_ptr(), val(frame, *src)?.as_ptr()) {
-                    (Some(d), Some(s)) => (d.clone(), s.clone()),
-                    _ => return Err(Stop::Unsupported("OptMemcpy operands".into())),
-                };
-                // Mirror the tree engine: a non-integer length is malformed
-                // IR and must be loud, not a silent 0-byte copy.
-                let n = val(frame, *n)?
-                    .as_int()
-                    .map(IntVal::value)
-                    .ok_or_else(|| Stop::Unsupported("OptMemcpy length is not an integer".into()))?
-                    as u64;
-                it.mem.memcpy(&d, &s, n)?;
+                it.opt_memcpy(val(frame, *dst)?, val(frame, *src)?, val(frame, *n)?)?;
             }
 
             // ── Arithmetic ──────────────────────────────────────────────
@@ -360,355 +335,107 @@ fn dispatch<C: Capability>(
                 frame.regs[*dst as usize] = RVal::Val(res);
             }
             Inst::PtrAdd { dst, ptr, idx, elem, neg, ty: _ } => {
-                let q = {
-                    let p = val(frame, *ptr)?.as_ptr().ok_or_else(|| {
-                        Stop::Unsupported("pointer arithmetic on non-pointer".into())
-                    })?;
-                    let mut i = val(frame, *idx)?.as_int().map(IntVal::value).unwrap_or(0);
-                    if *neg {
-                        i = -i;
-                    }
-                    it.mem.array_shift(p, *elem, i as i64)?
-                };
-                frame.regs[*dst as usize] = RVal::Val(Value::Ptr(q));
+                let v = it.ptr_add(val(frame, *ptr)?, val(frame, *idx)?, *elem, *neg)?;
+                frame.regs[*dst as usize] = RVal::Val(v);
             }
             Inst::PtrDiff { dst, a, b, elem } => {
-                let d = {
-                    let (ap, bp) = match (val(frame, *a)?.as_ptr(), val(frame, *b)?.as_ptr()) {
-                        (Some(a), Some(b)) => (a, b),
-                        _ => {
-                            return Err(Stop::Unsupported(
-                                "pointer difference operands".into(),
-                            ))
-                        }
-                    };
-                    it.mem.ptr_diff(ap, bp, *elem)?
-                };
-                frame.regs[*dst as usize] = RVal::Val(Value::Int {
-                    ity: IntTy::Long,
-                    v: IntVal::Num(i128::from(d)),
-                });
+                let v = it.ptr_diff(val(frame, *a)?, val(frame, *b)?, *elem)?;
+                frame.regs[*dst as usize] = RVal::Val(v);
             }
             Inst::PtrCmp { dst, op, a, b } => {
-                use crate::ast::BinOp;
-                let r = {
-                    let (ap, bp) = match (val(frame, *a)?.as_ptr(), val(frame, *b)?.as_ptr()) {
-                        (Some(a), Some(b)) => (a.clone(), b.clone()),
-                        _ => {
-                            return Err(Stop::Unsupported(
-                                "pointer comparison operands".into(),
-                            ))
-                        }
-                    };
-                    match op {
-                        BinOp::Eq => it.mem.ptr_eq(&ap, &bp),
-                        BinOp::Ne => !it.mem.ptr_eq(&ap, &bp),
-                        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                            let ord = it.mem.ptr_rel_cmp(&ap, &bp)?;
-                            match op {
-                                BinOp::Lt => ord == std::cmp::Ordering::Less,
-                                BinOp::Le => ord != std::cmp::Ordering::Greater,
-                                BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                                _ => ord != std::cmp::Ordering::Less,
-                            }
-                        }
-                        // Malformed IR (the lowering only emits comparison
-                        // ops here) must not abort the whole process: the VM
-                        // is headed for a long-lived multi-job service, so
-                        // fail this run loudly instead of panicking.
-                        _ => {
-                            return Err(Stop::Unsupported(format!(
-                                "malformed IR: `{op:?}` is not a pointer comparison"
-                            )))
-                        }
-                    }
-                };
-                frame.regs[*dst as usize] = RVal::Val(Value::Int {
-                    ity: IntTy::Int,
-                    v: IntVal::Num(i128::from(r)),
-                });
+                let v = it.ptr_compare(*op, val(frame, *a)?, val(frame, *b)?)?;
+                frame.regs[*dst as usize] = RVal::Val(v);
             }
 
             // ── Compound assignment ─────────────────────────────────────
+            // Each memory form loads from and stores to the object at
+            // `loc`; its register form (fast mode) reads and writes the
+            // promoted register `reg` instead. The operation between is one
+            // `Interp` call, the same in both and in the tree engine.
             Inst::IncDec { dst, loc: l, ty, inc, prefix, elem } => {
-                let p = loc(frame, *l)?.clone();
+                let p = loc(frame, *l)?;
                 let ty = &ir.types[ty.0 as usize];
-                let old = it.load_value(&p, ty)?;
-                let new = match (&old, *elem) {
-                    (Value::Ptr(v), elem) if elem > 0 => {
-                        Value::Ptr(it.mem.array_shift(v, elem, if *inc { 1 } else { -1 })?)
-                    }
-                    (Value::Int { ity, v }, _) => {
-                        let delta = if *inc { 1 } else { -1 };
-                        let raw = v.value() + delta;
-                        if ity.signed() && !ity.is_capability() && !ity.fits(raw) {
-                            return Err(it.ub(Ub::SignedOverflow, "increment overflow"));
-                        }
-                        let nv = if ity.is_capability() {
-                            it.derive_cap_result(v, *ity, raw)
-                        } else {
-                            IntVal::Num(ity.wrap(raw))
-                        };
-                        Value::Int { ity: *ity, v: nv }
-                    }
-                    _ => return Err(Stop::Unsupported("increment target".into())),
-                };
-                it.store_value(&p, ty, &new)?;
+                let old = it.load_value(p, ty)?;
+                let new = it.inc_dec(&old, *inc, *elem)?;
+                it.store_value(p, ty, &new)?;
                 frame.regs[*dst as usize] = RVal::Val(if *prefix { new } else { old });
             }
-            Inst::AssignOpInt { dst, loc: l, ty, lt, ct, op, derive, cur, rhs } => {
-                let p = loc(frame, *l)?.clone();
-                let curv = val(frame, *cur)?
-                    .as_int()
-                    .cloned()
-                    .ok_or_else(|| Stop::Unsupported("compound assignment load".into()))?;
-                let cur_c = it.convert_int(&curv, *lt, *ct);
-                let r = val(frame, *rhs)?
-                    .as_int()
-                    .cloned()
-                    .ok_or_else(|| Stop::Unsupported("compound assignment rhs".into()))?;
-                let res = it.binary_int(
-                    *op,
-                    &Value::Int { ity: *ct, v: cur_c },
-                    &Value::Int { ity: *ct, v: r },
-                    *ct,
-                    *derive,
-                )?;
-                let res_v = match &res {
-                    Value::Int { v, .. } => it.convert_int(v, *ct, *lt),
-                    _ => {
-                        return Err(Stop::Unsupported("compound assignment result".into()))
-                    }
-                };
-                let out = Value::Int { ity: *lt, v: res_v };
-                it.store_value(&p, &ir.types[ty.0 as usize], &out)?;
-                frame.regs[*dst as usize] = RVal::Val(out);
-            }
-            Inst::AssignOpFloat { dst, loc: l, ty, common, op, cur, rhs } => {
-                let p = loc(frame, *l)?.clone();
-                let cur_f = match val(frame, *cur)? {
-                    Value::Float { v, .. } => *v,
-                    Value::Int { v, .. } => v.value() as f64,
-                    _ => return Err(Stop::Unsupported("compound float target".into())),
-                };
-                let rv = val(frame, *rhs)?.clone();
-                let res = it.binary_float(
-                    *op,
-                    &Value::Float { fty: *common, v: cur_f },
-                    &rv,
-                    &Ty::Float(*common),
-                )?;
-                let res_f = res.as_float().expect("float result");
-                let ty = &ir.types[ty.0 as usize];
-                let out = match ty {
-                    Ty::Float(fty) => Value::Float {
-                        fty: *fty,
-                        v: if *fty == FloatTy::F32 {
-                            f64::from(res_f as f32)
-                        } else {
-                            res_f
-                        },
-                    },
-                    Ty::Int(ity) => {
-                        let t = res_f.trunc();
-                        if !t.is_finite() || t < ity.min() as f64 || t > ity.max() as f64 {
-                            return Err(it.ub(Ub::SignedOverflow, "float-to-int out of range"));
-                        }
-                        Value::Int { ity: *ity, v: it.mk_int(*ity, t as i128) }
-                    }
-                    t => return Err(Stop::Unsupported(format!("compound target {t}"))),
-                };
-                it.store_value(&p, ty, &out)?;
-                frame.regs[*dst as usize] = RVal::Val(out);
-            }
-            Inst::PtrAssignAdd { dst, loc: l, ty, cur, idx, elem, neg } => {
-                let p = loc(frame, *l)?.clone();
-                let curp = match val(frame, *cur)? {
-                    Value::Ptr(v) => v.clone(),
-                    _ => {
-                        return Err(Stop::Unsupported("pointer compound assignment".into()))
-                    }
-                };
-                let mut i = val(frame, *idx)?.as_int().map(IntVal::value).unwrap_or(0);
-                if *neg {
-                    i = -i;
-                }
-                let out = Value::Ptr(it.mem.array_shift(&curp, *elem, i as i64)?);
-                it.store_value(&p, &ir.types[ty.0 as usize], &out)?;
-                frame.regs[*dst as usize] = RVal::Val(out);
-            }
-
-            // ── Register-promoted finishers (fast mode) ─────────────────
-            // Byte-for-byte the semantics of the memory forms above with
-            // the load/store replaced by reads/writes of the promoted
-            // register: every UB check, conversion and capability
-            // derivation is the same `Interp` helper at the same point.
             Inst::RegIncDec { dst, reg, inc, prefix, elem } => {
                 let old = val(frame, *reg)?.clone();
-                let new = match (&old, *elem) {
-                    (Value::Ptr(v), elem) if elem > 0 => {
-                        Value::Ptr(it.mem.array_shift(v, elem, if *inc { 1 } else { -1 })?)
-                    }
-                    (Value::Int { ity, v }, _) => {
-                        let delta = if *inc { 1 } else { -1 };
-                        let raw = v.value() + delta;
-                        if ity.signed() && !ity.is_capability() && !ity.fits(raw) {
-                            return Err(it.ub(Ub::SignedOverflow, "increment overflow"));
-                        }
-                        let nv = if ity.is_capability() {
-                            it.derive_cap_result(v, *ity, raw)
-                        } else {
-                            IntVal::Num(ity.wrap(raw))
-                        };
-                        Value::Int { ity: *ity, v: nv }
-                    }
-                    _ => return Err(Stop::Unsupported("increment target".into())),
-                };
+                let new = it.inc_dec(&old, *inc, *elem)?;
                 frame.regs[*reg as usize] = RVal::Val(new.clone());
                 frame.regs[*dst as usize] = RVal::Val(if *prefix { new } else { old });
             }
+            Inst::AssignOpInt { dst, loc: l, ty, lt, ct, op, derive, cur, rhs } => {
+                let p = loc(frame, *l)?;
+                let (cur, rhs) = (val(frame, *cur)?, val(frame, *rhs)?);
+                let out = it.assign_op_int(*op, cur, rhs, *lt, *ct, *derive)?;
+                it.store_value(p, &ir.types[ty.0 as usize], &out)?;
+                frame.regs[*dst as usize] = RVal::Val(out);
+            }
             Inst::RegAssignOpInt { dst, reg, lt, ct, op, derive, cur, rhs } => {
-                let curv = val(frame, *cur)?
-                    .as_int()
-                    .cloned()
-                    .ok_or_else(|| Stop::Unsupported("compound assignment load".into()))?;
-                let cur_c = it.convert_int(&curv, *lt, *ct);
-                let r = val(frame, *rhs)?
-                    .as_int()
-                    .cloned()
-                    .ok_or_else(|| Stop::Unsupported("compound assignment rhs".into()))?;
-                let res = it.binary_int(
-                    *op,
-                    &Value::Int { ity: *ct, v: cur_c },
-                    &Value::Int { ity: *ct, v: r },
-                    *ct,
-                    *derive,
-                )?;
-                let res_v = match &res {
-                    Value::Int { v, .. } => it.convert_int(v, *ct, *lt),
-                    _ => {
-                        return Err(Stop::Unsupported("compound assignment result".into()))
-                    }
-                };
-                let out = Value::Int { ity: *lt, v: res_v };
+                let (cur, rhs) = (val(frame, *cur)?, val(frame, *rhs)?);
+                let out = it.assign_op_int(*op, cur, rhs, *lt, *ct, *derive)?;
                 frame.regs[*reg as usize] = RVal::Val(out.clone());
+                frame.regs[*dst as usize] = RVal::Val(out);
+            }
+            Inst::AssignOpFloat { dst, loc: l, ty, common, op, cur, rhs } => {
+                let p = loc(frame, *l)?;
+                let ty = &ir.types[ty.0 as usize];
+                let (cur, rhs) = (val(frame, *cur)?, val(frame, *rhs)?);
+                let out = it.assign_op_float(*op, cur, rhs, *common, ty)?;
+                it.store_value(p, ty, &out)?;
                 frame.regs[*dst as usize] = RVal::Val(out);
             }
             Inst::RegAssignOpFloat { dst, reg, ty, common, op, cur, rhs } => {
-                let cur_f = match val(frame, *cur)? {
-                    Value::Float { v, .. } => *v,
-                    Value::Int { v, .. } => v.value() as f64,
-                    _ => return Err(Stop::Unsupported("compound float target".into())),
-                };
-                let rv = val(frame, *rhs)?.clone();
-                let res = it.binary_float(
-                    *op,
-                    &Value::Float { fty: *common, v: cur_f },
-                    &rv,
-                    &Ty::Float(*common),
-                )?;
-                let res_f = res.as_float().expect("float result");
                 let ty = &ir.types[ty.0 as usize];
-                let out = match ty {
-                    Ty::Float(fty) => Value::Float {
-                        fty: *fty,
-                        v: if *fty == FloatTy::F32 {
-                            f64::from(res_f as f32)
-                        } else {
-                            res_f
-                        },
-                    },
-                    Ty::Int(ity) => {
-                        let t = res_f.trunc();
-                        if !t.is_finite() || t < ity.min() as f64 || t > ity.max() as f64 {
-                            return Err(it.ub(Ub::SignedOverflow, "float-to-int out of range"));
-                        }
-                        Value::Int { ity: *ity, v: it.mk_int(*ity, t as i128) }
-                    }
-                    t => return Err(Stop::Unsupported(format!("compound target {t}"))),
-                };
+                let (cur, rhs) = (val(frame, *cur)?, val(frame, *rhs)?);
+                let out = it.assign_op_float(*op, cur, rhs, *common, ty)?;
                 frame.regs[*reg as usize] = RVal::Val(out.clone());
                 frame.regs[*dst as usize] = RVal::Val(out);
             }
+            Inst::PtrAssignAdd { dst, loc: l, ty, cur, idx, elem, neg } => {
+                let p = loc(frame, *l)?;
+                let (cur, idx) = (val(frame, *cur)?, val(frame, *idx)?);
+                let out = it.ptr_add(cur, idx, *elem, *neg)?;
+                it.store_value(p, &ir.types[ty.0 as usize], &out)?;
+                frame.regs[*dst as usize] = RVal::Val(out);
+            }
             Inst::RegPtrAssignAdd { dst, reg, ty: _, cur, idx, elem, neg } => {
-                let curp = match val(frame, *cur)? {
-                    Value::Ptr(v) => v.clone(),
-                    _ => {
-                        return Err(Stop::Unsupported("pointer compound assignment".into()))
-                    }
-                };
-                let mut i = val(frame, *idx)?.as_int().map(IntVal::value).unwrap_or(0);
-                if *neg {
-                    i = -i;
-                }
-                let out = Value::Ptr(it.mem.array_shift(&curp, *elem, i as i64)?);
+                let (cur, idx) = (val(frame, *cur)?, val(frame, *idx)?);
+                let out = it.ptr_add(cur, idx, *elem, *neg)?;
                 frame.regs[*reg as usize] = RVal::Val(out.clone());
                 frame.regs[*dst as usize] = RVal::Val(out);
             }
 
             // ── Casts ───────────────────────────────────────────────────
             Inst::IntToInt { dst, src, to } => {
-                let v = val(frame, *src)?
-                    .as_int()
-                    .cloned()
-                    .ok_or_else(|| Stop::Unsupported("int cast operand".into()))?;
-                // `convert_int` ignores the source type.
-                let v = it.convert_int(&v, *to, *to);
-                frame.regs[*dst as usize] = RVal::Val(Value::Int { ity: *to, v });
+                let v = it.int_to_int(val(frame, *src)?, *to)?;
+                frame.regs[*dst as usize] = RVal::Val(v);
             }
             Inst::PtrToInt { dst, src, to, size } => {
-                let p = val(frame, *src)?
-                    .as_ptr()
-                    .cloned()
-                    .ok_or_else(|| Stop::Unsupported("pointer cast operand".into()))?;
-                let v = it
-                    .mem
-                    .cast_ptr_to_int(&p, to.is_capability(), to.signed(), *size);
-                frame.regs[*dst as usize] = RVal::Val(Value::Int { ity: *to, v });
+                let v = it.ptr_to_int(val(frame, *src)?, *to, *size)?;
+                frame.regs[*dst as usize] = RVal::Val(v);
             }
             Inst::IntToPtr { dst, src, ty: _ } => {
-                let p = {
-                    let v = val(frame, *src)?
-                        .as_int()
-                        .ok_or_else(|| Stop::Unsupported("int-to-pointer operand".into()))?;
-                    it.mem.cast_int_to_ptr(v)
-                };
-                frame.regs[*dst as usize] = RVal::Val(Value::Ptr(p));
+                let v = it.int_to_ptr(val(frame, *src)?)?;
+                frame.regs[*dst as usize] = RVal::Val(v);
             }
             Inst::PtrToPtr { dst, src, ty: _ } => {
-                // §3.9: a register copy; the cast changes no capability.
-                let v = val(frame, *src)?;
-                if v.as_ptr().is_none() {
-                    return Err(Stop::Unsupported("pointer cast operand".into()));
-                }
-                frame.regs[*dst as usize] = RVal::Val(v.clone());
+                let v = it.ptr_to_ptr(val(frame, *src)?)?;
+                frame.regs[*dst as usize] = RVal::Val(v);
             }
             Inst::IntToFloat { dst, src, fty } => {
-                let n = val(frame, *src)?
-                    .as_int()
-                    .map(IntVal::value)
-                    .ok_or_else(|| Stop::Unsupported("int-to-float operand".into()))?;
-                let v = n as f64;
-                let v = if *fty == FloatTy::F32 { f64::from(v as f32) } else { v };
-                frame.regs[*dst as usize] = RVal::Val(Value::Float { fty: *fty, v });
+                let v = it.int_to_float(val(frame, *src)?, *fty)?;
+                frame.regs[*dst as usize] = RVal::Val(v);
             }
             Inst::FloatToInt { dst, src, to } => {
-                let f = val(frame, *src)?
-                    .as_float()
-                    .ok_or_else(|| Stop::Unsupported("float-to-int operand".into()))?;
-                let t = f.trunc();
-                if !t.is_finite() || t < to.min() as f64 || t > to.max() as f64 {
-                    return Err(it.ub(Ub::SignedOverflow, "float-to-int out of range"));
-                }
-                let v = it.mk_int(*to, t as i128);
-                frame.regs[*dst as usize] = RVal::Val(Value::Int { ity: *to, v });
+                let v = it.float_to_int(val(frame, *src)?, *to)?;
+                frame.regs[*dst as usize] = RVal::Val(v);
             }
             Inst::FloatToFloat { dst, src, fty } => {
-                let f = val(frame, *src)?
-                    .as_float()
-                    .ok_or_else(|| Stop::Unsupported("float cast operand".into()))?;
-                let v = if *fty == FloatTy::F32 { f64::from(f as f32) } else { f };
-                frame.regs[*dst as usize] = RVal::Val(Value::Float { fty: *fty, v });
+                let v = it.float_to_float(val(frame, *src)?, *fty)?;
+                frame.regs[*dst as usize] = RVal::Val(v);
             }
             Inst::ToBool { dst, src } => {
                 let b = val(frame, *src)?.truthy();
@@ -747,31 +474,7 @@ fn dispatch<C: Capability>(
                 return Ok(Xfer::Call { f: f.0, dst: *dst });
             }
             Inst::CallIndirect { dst, callee, args: regs } => {
-                let fv = val(frame, *callee)?;
-                let p = fv
-                    .as_ptr()
-                    .ok_or_else(|| Stop::Unsupported("indirect call operand".into()))?;
-                if it.profile.mem.capabilities {
-                    if !p.cap.tag() {
-                        return Err(Stop::Mem(MemError::ub(
-                            Ub::CheriInvalidCap,
-                            "call via untagged function pointer",
-                        )));
-                    }
-                    if !p.cap.perms().contains(Perms::EXECUTE) {
-                        return Err(Stop::Mem(MemError::ub(
-                            Ub::CheriInsufficientPermissions,
-                            "call via non-executable capability",
-                        )));
-                    }
-                }
-                let name = it
-                    .addr_to_func
-                    .get(&p.addr())
-                    .ok_or_else(|| Stop::Unsupported("indirect call to non-function".into()))?;
-                let f = ir.func_index.get(name).copied().ok_or_else(|| {
-                    Stop::Unsupported(format!("call of undefined `{name}`"))
-                })?;
+                let f = *it.indirect_callee(val(frame, *callee)?, &ir.func_index)?;
                 collect_args(frame, regs.iter().copied(), args)?;
                 return Ok(Xfer::Call { f, dst: *dst });
             }
@@ -818,13 +521,7 @@ fn dispatch<C: Capability>(
                 frame.slots[*slot as usize] = Some(p);
             }
             Inst::InitStr { loc: l, s, elem } => {
-                let p = loc(frame, *l)?.clone();
-                let mut bytes = ir.strs[s.0 as usize].as_bytes().to_vec();
-                bytes.push(0);
-                for (i, b) in bytes.iter().enumerate() {
-                    let ep = it.mem.member_shift(&p, i as u64 * elem);
-                    it.mem.store_int(&ep, 1, &IntVal::Num(i128::from(*b)))?;
-                }
+                it.init_str(loc(frame, *l)?, &ir.strs[s.0 as usize], *elem)?;
             }
             Inst::Unsupported { msg } => {
                 return Err(Stop::Unsupported(ir.strs[msg.0 as usize].clone()))

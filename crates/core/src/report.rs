@@ -4,6 +4,10 @@ use std::fmt;
 
 use cheri_mem::{MemError, MemStats, TrapKind, Ub};
 
+/// The message of the [`Outcome::Error`] a run ends with when it exhausts
+/// its step budget.
+pub(crate) const STEP_LIMIT: &str = "step limit exceeded";
+
 /// How a program run ended.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Outcome {
@@ -44,6 +48,15 @@ impl Outcome {
     #[must_use]
     pub fn is_safety_stop(&self) -> bool {
         matches!(self, Outcome::Ub { .. } | Outcome::Trap { .. })
+    }
+
+    /// Did the run stop at its step budget? The tree engine counts steps
+    /// per AST node and the VM per instruction (and `--fast` runs fewer
+    /// instructions), so two step-limited runs of one program count as
+    /// agreeing wherever each stopped.
+    #[must_use]
+    pub fn is_step_limit(&self) -> bool {
+        matches!(self, Outcome::Error(m) if m == STEP_LIMIT)
     }
 
     /// Short classification label for comparison tables.
@@ -133,6 +146,9 @@ mod tests {
         };
         assert!(trap.is_safety_stop());
         assert!(!trap.is_success());
+        assert!(Outcome::Error(STEP_LIMIT.into()).is_step_limit());
+        assert!(!Outcome::Error(format!("{STEP_LIMIT} at 3")).is_step_limit());
+        assert!(!ub.is_step_limit());
     }
 
     #[test]

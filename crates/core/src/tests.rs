@@ -1098,18 +1098,28 @@ fn opt_memcpy_non_integer_length_is_loud_in_both_engines() {
     }
 }
 
-/// Malformed IR — a `PtrCmp` whose operator is not a comparison — must
-/// fail the run with a `Stop` error, not `unreachable!`: the VM is headed
-/// for a long-lived service where one bad program must not take down the
-/// process.
+/// A malformed program — a `PtrCmp` whose operator is not a comparison —
+/// must fail the run with a `Stop` error, not `unreachable!`, on either
+/// engine: one bad program must not take down a long-lived service.
 #[test]
 fn malformed_ptr_cmp_op_errors_instead_of_panicking() {
     use crate::ast::BinOp;
     use crate::ir::{self, Inst};
+    use crate::lex::Pos;
+    use crate::tast::{TExpr, TExprKind, TStmt};
     use crate::types::{IntTy, Ty};
-    use crate::{Interp, MorelloCap};
+    use crate::{Engine, Interp, MorelloCap};
 
+    let expect_loud = |r: &crate::RunResult, engine: Engine| match &r.outcome {
+        Outcome::Error(m) => assert!(
+            m.contains("`Add` is not a pointer comparison"),
+            "{engine:?}: unexpected message {m:?}"
+        ),
+        other => panic!("{engine:?}: expected loud error, got {other}"),
+    };
     let profile = Profile::cerberus();
+
+    // The VM: hand-built IR comparing two copies of one string literal.
     let prog = crate::compile("int main(void) { return 0; }", &profile).unwrap();
     let mut irp = ir::lower(&prog);
     let sid = ir::StrId(irp.strs.len() as u32);
@@ -1127,17 +1137,32 @@ fn malformed_ptr_cmp_op_errors_instead_of_panicking() {
     ];
     f.n_regs = 3;
     f.block_pc = vec![0];
-
     let r = Interp::<MorelloCap>::new(&prog, &profile)
         .with_ir(std::sync::Arc::new(irp))
         .run();
-    match &r.outcome {
-        Outcome::Error(m) => assert!(
-            m.contains("not a pointer comparison"),
-            "unexpected message {m:?}"
-        ),
-        other => panic!("expected loud error, got {other}"),
-    }
+    expect_loud(&r, Engine::Bytecode);
+
+    // The tree engine: the same comparison as a hand-built typed AST.
+    let mut prog = prog;
+    let lit = || {
+        Box::new(TExpr {
+            ty: Ty::ptr(Ty::Int(IntTy::Char)),
+            kind: TExprKind::StrLit("x".into()),
+            pos: Pos::default(),
+            from_noncap: false,
+        })
+    };
+    let bad = TStmt::Expr(TExpr {
+        ty: Ty::Int(IntTy::Int),
+        kind: TExprKind::PtrCmp { op: BinOp::Add, a: lit(), b: lit() },
+        pos: Pos::default(),
+        from_noncap: false,
+    });
+    prog.funcs.get_mut("main").unwrap().body.insert(0, bad);
+    let r = Interp::<MorelloCap>::new(&prog, &profile)
+        .with_engine(Engine::Tree)
+        .run();
+    expect_loud(&r, Engine::Tree);
 }
 
 // ── C strings are bytes ──────────────────────────────────────────────────

@@ -160,14 +160,22 @@ pub fn stats_line(s: &MemStats, unspecified_reads: u32) -> String {
     )
 }
 
+/// How a profile's outcome reads when the run's step budget stopped it
+/// (the rendering of an [`cheri_core::Outcome`] whose
+/// [`is_step_limit`](cheri_core::Outcome::is_step_limit) holds).
+pub(crate) const STEP_LIMITED: &str = "error: step limit exceeded";
+
 impl JobOutput {
     /// Did any profile end in a front-end or internal error — or fail one
     /// of the checking modes' gates (`engine-diff`, `lint-check`)? Gate
-    /// failures are errors so a sharded CI sweep fails the whole batch.
+    /// failures are errors so a sharded CI sweep fails the whole batch. A
+    /// run its step budget stopped is a result, not an error: the budget
+    /// is how a job that never ends still ends, and `engine-diff` counts
+    /// two step-limited engines as agreeing.
     #[must_use]
     pub fn has_error(&self) -> bool {
         self.profiles.iter().any(|p| {
-            p.outcome.starts_with("error")
+            (p.outcome.starts_with("error") && p.outcome != STEP_LIMITED)
                 || p.outcome.starts_with("engine-divergence")
                 || p.outcome.starts_with("lint-unsound")
         })

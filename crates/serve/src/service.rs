@@ -39,32 +39,28 @@ use crate::job::{stats_line, JobOutput, JobSpec, Mode, ProfileOutcome};
 
 /// Outcome rendering that keeps the detail of internal errors (the plain
 /// label collapses every `Error` to `"error"`).
-fn outcome_string(o: &Outcome) -> String {
+pub(crate) fn outcome_string(o: &Outcome) -> String {
     match o {
         Outcome::Error(m) => format!("error: {m}"),
         other => other.label(),
     }
 }
 
-fn is_step_limit(label: &str) -> bool {
-    label.contains("step limit exceeded")
-}
-
 /// The engine-equivalence predicate of `tests/engine_differential.rs`,
 /// condensed to a one-line summary for the `engine-diff` job mode.
 /// `None` means the engines agree.
-fn engine_disagreement(
+pub(crate) fn engine_disagreement(
     tr: &RunResult,
     tree_events: &[MemEvent],
     br: &RunResult,
     byte_events: &[MemEvent],
 ) -> Option<String> {
-    let (tl, bl) = (tr.outcome.label(), br.outcome.label());
-    if is_step_limit(&tl) && is_step_limit(&bl) {
+    if tr.outcome.is_step_limit() && br.outcome.is_step_limit() {
         // Step budgets are counted per-node vs per-instruction; both
         // hitting the limit is agreement.
         return None;
     }
+    let (tl, bl) = (tr.outcome.label(), br.outcome.label());
     if tl != bl {
         return Some(format!("outcome tree={tl} bytecode={bl}"));
     }

@@ -5,11 +5,14 @@
 
 use std::sync::Arc;
 
-use cheri_core::{CheriotCap, MorelloCap, Profile};
+use cheri_core::{CheriotCap, MorelloCap, Outcome, Profile, RunResult};
+use cheri_mem::{MemEvent, MemStats};
 
 use crate::cache::{CompileKey, ProgramCache};
-use crate::job::{fast_variant, parse_job_line, profiles_from_spec, JobSpec, Mode};
-use crate::service::{execute_job, run_batch, Service};
+use crate::job::{
+    fast_variant, parse_job_line, profiles_from_spec, JobOutput, JobSpec, Mode, ProfileOutcome,
+};
+use crate::service::{engine_disagreement, execute_job, outcome_string, run_batch, Service};
 
 fn job(id: &str, src: &str, profiles: Vec<Profile>, mode: Mode) -> JobSpec {
     JobSpec {
@@ -212,6 +215,50 @@ fn one_worker_batch_survives_an_unfoldable_constant() {
         "{}",
         rendered[1]
     );
+}
+
+/// The tree engine counts steps per AST node and the VM per instruction,
+/// so two runs that both exhaust the step budget stop at different points
+/// with different output, statistics and events. `engine-diff` must count
+/// them as agreeing; a step limit on one side only is a disagreement.
+#[test]
+fn engine_diff_accepts_two_step_limited_runs() {
+    let result = |outcome: Outcome, stdout: &str, loads: u64| RunResult {
+        outcome,
+        stdout: stdout.into(),
+        stderr: String::new(),
+        unspecified_reads: 0,
+        mem_stats: MemStats { loads, ..MemStats::default() },
+    };
+    let limited = || Outcome::Error("step limit exceeded".into());
+    let tree = result(limited(), "...", 30);
+    let vm = result(limited(), "..", 20);
+    let tree_events = [MemEvent::Store { addr: 16, size: 4 }];
+    assert_eq!(engine_disagreement(&tree, &tree_events, &vm, &[]), None);
+
+    // The job passes its gate and does not fail the batch.
+    let job = JobOutput {
+        id: "loop".into(),
+        mode: Mode::EngineDiff,
+        profiles: vec![ProfileOutcome {
+            profile: "cerberus".into(),
+            outcome: outcome_string(&vm.outcome),
+            stdout: vm.stdout.clone(),
+            stderr: String::new(),
+            stats: String::new(),
+            lint: None,
+            events: None,
+        }],
+        trace_diff: None,
+        exec_ns: 0,
+    };
+    assert!(vm.outcome.is_step_limit());
+    assert!(!job.has_error(), "{}", job.render());
+
+    let exited = result(Outcome::Exit(0), "..", 20);
+    assert!(engine_disagreement(&tree, &tree_events, &exited, &[]).is_some());
+    let other_error = result(Outcome::Error("call depth exceeded".into()), "..", 20);
+    assert!(engine_disagreement(&tree, &tree_events, &other_error, &[]).is_some());
 }
 
 #[test]

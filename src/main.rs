@@ -350,7 +350,8 @@ fn exec<C: Capability>(
 /// Run the batch (`--batch <manifest>`) and serve (`--serve`, jobs on
 /// stdin) front ends over a [`Service`] worker pool. Outputs stream in
 /// submission order; the exit code is 1 if any job hit a front-end or
-/// internal error (UB/trap outcomes are *results*, not errors), else 0.
+/// internal error (UB/trap outcomes and step-limit stops are *results*,
+/// not errors), else 0.
 fn run_service_mode<C: Capability + Send + 'static>(opts: &Options) -> ExitCode {
     let workers = opts.jobs.unwrap_or_else(default_jobs);
     let mut svc = Service::<C>::new(workers);

@@ -31,22 +31,18 @@ use cheri_mem::MemEvent;
 use cheri_obs::DiffMode;
 use cheri_testsuite::all_tests;
 
-const STEP_LIMIT_MSG: &str = "step limit exceeded";
-
-fn is_step_limit(label: &str) -> bool {
-    label.contains(STEP_LIMIT_MSG)
-}
+mod ops;
 
 /// Compare one program under one profile; `None` means the engines agree.
 fn disagreement(src: &str, profile: &Profile) -> Option<String> {
     let (tr, tree_events) = run_traced_with_engine(src, profile, Engine::Tree);
     let (br, byte_events) = run_traced_with_engine(src, profile, Engine::Bytecode);
-    let (tl, bl) = (tr.outcome.label(), br.outcome.label());
-    if is_step_limit(&tl) && is_step_limit(&bl) {
+    if tr.outcome.is_step_limit() && br.outcome.is_step_limit() {
         // Step budgets are counted differently (per node vs per
         // instruction); both hitting the limit is agreement.
         return None;
     }
+    let (tl, bl) = (tr.outcome.label(), br.outcome.label());
     if tl != bl {
         return Some(format!("outcome: tree={tl} bytecode={bl}"));
     }
@@ -160,17 +156,24 @@ fn corpus_engines_agree() {
     );
 }
 
-/// Every Table-1 test agrees between the engines under every compared
-/// profile — the curated programs cover the capability/UB behaviours the
-/// random corpus does not (unions, intrinsics, sub-object bounds, …).
+/// Every Table-1 test and every operation program agrees between the
+/// engines under every compared profile — the curated programs cover the
+/// capability/UB behaviours (unions, intrinsics, sub-object bounds,
+/// floats, …) the random corpus does not.
 #[test]
 fn table1_engines_agree() {
     let profiles = Profile::all_compared();
     let mut failures: Vec<String> = Vec::new();
-    for t in all_tests() {
+    let ops = ops::programs();
+    let table1 = all_tests();
+    let programs = table1
+        .iter()
+        .map(|t| (t.id, t.source))
+        .chain(ops.iter().map(|(name, src)| (name.as_str(), src.as_str())));
+    for (id, src) in programs {
         for profile in &profiles {
-            if let Some(msg) = disagreement(t.source, profile) {
-                failures.push(format!("{} under {}: {msg}", t.id, profile.name));
+            if let Some(msg) = disagreement(src, profile) {
+                failures.push(format!("{id} under {}: {msg}", profile.name));
             }
         }
     }

@@ -35,9 +35,7 @@ use cheri_c::core::{compile_for, ir, run, Profile};
 use cheri_cap::MorelloCap;
 use cheri_testsuite::all_tests;
 
-fn is_step_limit(label: &str) -> bool {
-    label.contains("step limit exceeded")
-}
+mod ops;
 
 /// Exit code the CLI would report for an outcome label — the fast mode
 /// must not shift it (ISSUE: outcome + stdout + **exit code**).
@@ -62,12 +60,12 @@ fn disagreement(src: &str, profile: &Profile) -> Option<String> {
     };
     let dr = run(src, profile);
     let fr = run(src, &fast_profile);
-    let (dl, fl) = (dr.outcome.label(), fr.outcome.label());
-    if is_step_limit(&dl) && is_step_limit(&fl) {
+    if dr.outcome.is_step_limit() && fr.outcome.is_step_limit() {
         // Promotion shortens the instruction stream, so a step-limited
         // program may die elsewhere; both hitting the limit is agreement.
         return None;
     }
+    let (dl, fl) = (dr.outcome.label(), fr.outcome.label());
     if dl != fl {
         return Some(format!("outcome: default={dl} fast={fl}"));
     }
@@ -199,21 +197,28 @@ fn corpus_fast_mode_agrees() {
     );
 }
 
-/// Every Table-1 test agrees between the pipelines under every compared
-/// profile — the curated programs cover the address-taken/capability
-/// behaviours (unions, intrinsics, sub-object bounds) the random corpus
-/// exercises less.
+/// Every Table-1 test and every operation program agrees between the
+/// pipelines under every compared profile — the curated programs cover
+/// the address-taken/capability behaviours (unions, intrinsics,
+/// sub-object bounds) and the float paths the random corpus exercises
+/// less or not at all.
 #[test]
 fn table1_fast_mode_agrees() {
     let profiles = Profile::all_compared();
     let mut failures: Vec<String> = Vec::new();
-    for t in all_tests() {
+    let ops = ops::programs();
+    let table1 = all_tests();
+    let programs = table1
+        .iter()
+        .map(|t| (t.id, t.source))
+        .chain(ops.iter().map(|(name, src)| (name.as_str(), src.as_str())));
+    for (id, src) in programs {
         for profile in &profiles {
-            if let Some(msg) = promotion_respects_escape(t.source, profile) {
-                failures.push(format!("{} under {}: QC property violated: {msg}", t.id, profile.name));
+            if let Some(msg) = promotion_respects_escape(src, profile) {
+                failures.push(format!("{id} under {}: QC property violated: {msg}", profile.name));
             }
-            if let Some(msg) = disagreement(t.source, profile) {
-                failures.push(format!("{} under {}: {msg}", t.id, profile.name));
+            if let Some(msg) = disagreement(src, profile) {
+                failures.push(format!("{id} under {}: {msg}", profile.name));
             }
         }
     }
