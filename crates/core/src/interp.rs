@@ -203,16 +203,14 @@ pub struct Observed<C: Capability> {
     pub mem: CheriMemory<C>,
 }
 
-/// A tree-engine call frame: each local's object and its declared type,
-/// borrowed from the typed program.
+/// A tree-engine call frame: the function's locals table, borrowed from
+/// the typed program, and the object each [`LocalId`] is bound to once
+/// its declaration ran.
 struct Frame<'p, C: Capability> {
-    vars: HashMap<String, (PtrVal<C>, &'p Ty)>,
+    locals: &'p [TLocal],
+    vars: Vec<Option<PtrVal<C>>>,
     to_kill: Vec<PtrVal<C>>,
 }
-
-/// The declared type of the predefined `stdout`/`stderr` handles, which
-/// have no declaration in the program to borrow it from.
-static STREAM_TY: std::sync::LazyLock<Ty> = std::sync::LazyLock::new(|| Ty::ptr(Ty::Void));
 
 /// The interpreter.
 pub struct Interp<'p, C: Capability> {
@@ -220,7 +218,8 @@ pub struct Interp<'p, C: Capability> {
     profile: &'p Profile,
     /// The memory object model instance (exposed for statistics).
     pub mem: CheriMemory<C>,
-    pub(crate) globals: HashMap<String, (PtrVal<C>, &'p Ty)>,
+    /// Every object with static storage duration, indexed by [`GlobalId`].
+    pub(crate) globals: Vec<PtrVal<C>>,
     func_ptrs: HashMap<String, PtrVal<C>>,
     addr_to_func: HashMap<u64, String>,
     strings: HashMap<String, PtrVal<C>>,
@@ -266,7 +265,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             prog,
             profile,
             mem: CheriMemory::new(profile.mem),
-            globals: HashMap::new(),
+            globals: Vec::new(),
             func_ptrs: HashMap::new(),
             addr_to_func: HashMap::new(),
             strings: HashMap::new(),
@@ -480,47 +479,42 @@ impl<'p, C: Capability> Interp<'p, C> {
             self.addr_to_func.insert(p.addr(), name.clone());
             self.func_ptrs.insert(name.clone(), sentry);
         }
-        // Globals, in declaration order.
+        // Globals, in declaration order, then the predefined stream
+        // handles: the order of [`GlobalId`]s.
         for g in &prog.globals {
             let size = types_size(&prog.types, &g.ty);
             let align = prog.types.align_of(&g.ty);
             let p = self
                 .mem
                 .allocate_kind(&g.name, size, align, AllocKind::Static, false, None)?;
-            self.globals.insert(g.name.clone(), (p, &g.ty));
+            self.globals.push(p);
         }
-        // Predefined stream handles.
-        for stream in ["stderr", "stdout"] {
-            if !self.globals.contains_key(stream) {
-                let p = self.mem.allocate_kind(
-                    stream,
-                    16,
-                    16,
-                    AllocKind::Static,
-                    false,
-                    Some(&[0; 16]),
-                )?;
-                self.globals.insert(stream.to_string(), (p, &*STREAM_TY));
-            }
+        for stream in &prog.streams {
+            let p =
+                self.mem
+                    .allocate_kind(stream, 16, 16, AllocKind::Static, false, Some(&[0; 16]))?;
+            self.globals.push(p);
         }
-        // Run global initialisers (in a pseudo-frame).
+        // Run global initialisers (in a pseudo-frame that binds no local).
         let mut frame = Frame {
-            vars: HashMap::new(),
+            locals: &[],
+            vars: Vec::new(),
             to_kill: Vec::new(),
         };
-        for g in &prog.globals {
+        for (i, g) in prog.globals.iter().enumerate() {
             self.pos = g.pos;
             // Zero-initialise statics first (C semantics for objects with
             // static storage duration).
-            let (p, ty) = self.globals[&g.name].clone();
-            let size = types_size(&prog.types, ty);
-            self.mem.memset(&p, 0, size)?;
+            let p = self.globals[i].clone();
+            self.mem.memset(&p, 0, types_size(&prog.types, &g.ty))?;
             if let Some(init) = &g.init {
-                self.run_init(&mut frame, &p, ty, init)?;
+                // A hoisted `static` local's initialiser names its
+                // function's locals.
+                frame.locals = g.func.as_ref().map_or(&[], |f| &prog.funcs[f].locals);
+                self.run_init(&mut frame, &p, &g.ty, init)?;
             }
             if g.is_const {
-                let frozen = self.mem.freeze_readonly(&p)?;
-                self.globals.insert(g.name.clone(), (frozen, ty));
+                self.globals[i] = self.mem.freeze_readonly(&p)?;
             }
         }
         Ok(())
@@ -783,13 +777,14 @@ impl<'p, C: Capability> Interp<'p, C> {
         self.step()?;
         match s {
             TStmt::Decl {
-                name,
-                ty,
+                local,
                 is_const,
                 init,
                 pos,
             } => {
                 self.pos = *pos;
+                let locals = frame.locals;
+                let TLocal { name, ty } = &locals[local.0 as usize];
                 let size = types_size(&self.prog.types, ty);
                 let align = self.prog.types.align_of(ty);
                 let pretty = name.split('#').next().unwrap_or(name);
@@ -808,7 +803,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 } else {
                     p
                 };
-                frame.vars.insert(name.clone(), (p, ty));
+                frame.vars[local.0 as usize] = Some(p);
                 Ok(Flow::Normal)
             }
             TStmt::Expr(e) => {
@@ -914,30 +909,25 @@ impl<'p, C: Capability> Interp<'p, C> {
 
     // ── Expressions ──────────────────────────────────────────────────────
 
-    /// Evaluate an lvalue to its object and the type to access it at,
-    /// borrowed from the typed program.
-    fn eval_lvalue(
-        &mut self,
-        frame: &mut Frame<'p, C>,
-        e: &'p TExpr,
-    ) -> EResult<(PtrVal<C>, &'p Ty)> {
+    /// Evaluate an lvalue to its object; the type to access it at is the
+    /// lvalue's own `ty`.
+    fn eval_lvalue(&mut self, frame: &mut Frame<'p, C>, e: &'p TExpr) -> EResult<PtrVal<C>> {
         match &e.kind {
-            TExprKind::LvVar(name) => {
-                if let Some(&(ref p, ty)) = frame.vars.get(name) {
-                    return Ok((p.clone(), ty));
-                }
-                if let Some(&(ref p, ty)) = self.globals.get(name) {
-                    return Ok((p.clone(), ty));
-                }
-                Err(Stop::Unsupported(format!("unbound variable `{name}`")))
-            }
+            TExprKind::LvLocal(l) => match frame.vars.get(l.0 as usize) {
+                Some(Some(p)) => Ok(p.clone()),
+                _ => Err(Stop::Unsupported(format!(
+                    "unbound variable `{}`",
+                    frame.locals[l.0 as usize].name
+                ))),
+            },
+            TExprKind::LvGlobal(g) => Ok(self.globals[g.0 as usize].clone()),
             TExprKind::LvDeref(p) => {
                 let v = self.eval(frame, p)?;
-                Ok((self.deref(v)?, &e.ty))
+                self.deref(v)
             }
             TExprKind::LvMember(base, off) => {
-                let (p, _) = self.eval_lvalue(frame, base)?;
-                Ok((self.mem.member_shift(&p, *off), &e.ty))
+                let p = self.eval_lvalue(frame, base)?;
+                Ok(self.mem.member_shift(&p, *off))
             }
             _ => Err(Stop::Unsupported("expected lvalue".into())),
         }
@@ -959,19 +949,21 @@ impl<'p, C: Capability> Interp<'p, C> {
                 v: *v,
             }),
             TExprKind::StrLit(s) => Ok(Value::Ptr(self.intern_string(s)?)),
-            TExprKind::LvVar(_) | TExprKind::LvDeref(_) | TExprKind::LvMember(..) => {
+            TExprKind::LvLocal(_)
+            | TExprKind::LvGlobal(_)
+            | TExprKind::LvDeref(_)
+            | TExprKind::LvMember(..) => {
                 // Bare lvalue in value position should not occur (typeck
                 // inserts Load), but evaluate to its address for robustness.
-                let (p, _) = self.eval_lvalue(frame, e)?;
-                Ok(Value::Ptr(p))
+                Ok(Value::Ptr(self.eval_lvalue(frame, e)?))
             }
             TExprKind::Load(lv) => {
-                let (p, ty) = self.eval_lvalue(frame, lv)?;
+                let (p, ty) = (self.eval_lvalue(frame, lv)?, &lv.ty);
                 self.pos = e.pos;
                 self.load_value(&p, ty)
             }
             TExprKind::AddrOf(lv) | TExprKind::Decay(lv) => {
-                let (p, _) = self.eval_lvalue(frame, lv)?;
+                let p = self.eval_lvalue(frame, lv)?;
                 Ok(Value::Ptr(match lv.kind {
                     TExprKind::LvMember(..) => {
                         self.narrow_subobject(p, types_size(&self.prog.types, &lv.ty))
@@ -1036,12 +1028,12 @@ impl<'p, C: Capability> Interp<'p, C> {
             }
             TExprKind::Cast { kind, arg } => self.eval_cast(frame, e, *kind, arg),
             TExprKind::Assign { lv, rhs } => {
-                let (p, ty) = self.eval_lvalue(frame, lv)?;
+                let (p, ty) = (self.eval_lvalue(frame, lv)?, &lv.ty);
                 if matches!(ty, Ty::Struct(_) | Ty::Union(_) | Ty::Array(..)) {
                     // Aggregate assignment: bytewise copy (preserving
                     // capabilities like memcpy).
                     if let TExprKind::Load(src_lv) = &rhs.kind {
-                        let (src, _) = self.eval_lvalue(frame, src_lv)?;
+                        let src = self.eval_lvalue(frame, src_lv)?;
                         self.pos = e.pos;
                         let n = types_size(&self.prog.types, ty);
                         self.mem.memcpy(&p, &src, n)?;
@@ -1061,7 +1053,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 common,
                 derive,
             } => {
-                let (p, ty) = self.eval_lvalue(frame, lv)?;
+                let (p, ty) = (self.eval_lvalue(frame, lv)?, &lv.ty);
                 let out = if let Some(cf) = common.as_float() {
                     let cur = self.load_value(&p, ty)?;
                     let rv = self.eval(frame, rhs)?;
@@ -1081,7 +1073,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 Ok(out)
             }
             TExprKind::PtrAssignAdd { lv, idx, elem, neg } => {
-                let (p, ty) = self.eval_lvalue(frame, lv)?;
+                let (p, ty) = (self.eval_lvalue(frame, lv)?, &lv.ty);
                 let cur = self.load_value(&p, ty)?;
                 let iv = self.eval(frame, idx)?;
                 self.pos = e.pos;
@@ -1095,7 +1087,7 @@ impl<'p, C: Capability> Interp<'p, C> {
                 prefix,
                 elem,
             } => {
-                let (p, ty) = self.eval_lvalue(frame, lv)?;
+                let (p, ty) = (self.eval_lvalue(frame, lv)?, &lv.ty);
                 self.pos = e.pos;
                 let old = self.load_value(&p, ty)?;
                 let new = self.inc_dec(&old, *inc, *elem)?;
@@ -1647,17 +1639,19 @@ impl<'p, C: Capability> Interp<'p, C> {
     fn call_function(&mut self, f: &'p TFunc, args: Vec<Value<C>>) -> EResult<Value<C>> {
         self.enter_call()?;
         let mut frame = Frame {
-            vars: HashMap::new(),
+            locals: &f.locals,
+            vars: vec![None; f.locals.len()],
             to_kill: Vec::new(),
         };
-        for ((name, ty), v) in f.params.iter().zip(args) {
+        let params = f.locals[..f.n_params].iter().zip(&mut frame.vars);
+        for ((TLocal { name, ty }, var), v) in params.zip(args) {
             let size = types_size(&self.prog.types, ty);
             let align = self.prog.types.align_of(ty);
             let pretty = name.split('#').next().unwrap_or(name);
             let p = self.mem.allocate_object(pretty, size, align, false, None)?;
             self.store_value(&p, ty, &v)?;
             frame.to_kill.push(p.clone());
-            frame.vars.insert(name.clone(), (p, ty));
+            *var = Some(p);
         }
         let flow = self.exec_block(&mut frame, &f.body);
         // End the lifetime of the locals regardless of how the body exited.

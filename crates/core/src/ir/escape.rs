@@ -303,9 +303,22 @@ pub(crate) fn analyze_func(ir: &IrProgram, func: &IrFunc) -> FuncAnalysis {
     let param_slots: BTreeMap<u32, &super::IrParam> =
         func.params.iter().map(|p| (p.slot, p)).collect();
     let bound_slots: BTreeSet<u32> = site_slot.values().copied().collect();
+    // A local that no instruction names had its declaration deleted by an
+    // optimisation pass (the §3.5 copy loop's counter): no decision.
+    let named: BTreeSet<u32> = func
+        .code
+        .iter()
+        .filter_map(|inst| match inst {
+            Inst::BindSlot { slot, .. } | Inst::SlotLoc { slot, .. } => Some(*slot),
+            _ => None,
+        })
+        .collect();
     let mut decisions = Vec::new();
     for slot in 0..func.n_slots {
         let is_param = param_slots.contains_key(&slot);
+        if !is_param && !named.contains(&slot) {
+            continue;
+        }
         let mut facts = slots.remove(&slot).unwrap_or_default();
         if let Some(p) = param_slots.get(&slot) {
             facts.access_tys.insert(p.ty.0);

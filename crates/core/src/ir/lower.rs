@@ -1,36 +1,31 @@
 //! TAST → bytecode lowering.
 //!
-//! One pass per function: a pre-pass assigns every declaration a frame
-//! slot, then statements are compiled into basic blocks with explicit
-//! jumps. Every memory effect becomes its own instruction at the exact
-//! program point the tree engine performs it; anything unlowerable
-//! becomes [`Inst::Unsupported`] with the tree engine's message, raised
-//! only if reached (lazy-error parity).
+//! One pass per function, compiling statements into basic blocks with
+//! explicit jumps. The type checker already numbered every object: a
+//! local's [`crate::tast::LocalId`] is its frame slot and a
+//! [`crate::tast::GlobalId`] is its global's index. Every memory effect becomes its
+//! own instruction at the exact program point the tree engine performs
+//! it; anything unlowerable becomes [`Inst::Unsupported`] with the tree
+//! engine's message, raised only if reached (lazy-error parity).
 
 use std::collections::HashMap;
 
-use crate::tast::{Callee, TExpr, TExprKind, TFunc, TInit, TProgram, TStmt};
+use crate::tast::{Callee, TExpr, TExprKind, TFunc, TInit, TLocal, TProgram, TStmt};
 use crate::types::{IntTy, Ty};
 
-use super::{FuncId, GlobalId, Inst, IrFunc, IrParam, IrProgram, Reg, StrId, TyId};
+use super::{FuncId, Inst, IrFunc, IrParam, IrProgram, Reg, StrId, TyId};
 
 /// Lower a typechecked program to bytecode. Deterministic: functions are
 /// lowered in sorted-name order, pools in first-intern order.
 #[must_use]
 pub fn lower(prog: &TProgram) -> IrProgram {
     let mut pools = Pools::default();
-    let mut globals: Vec<String> = prog.globals.iter().map(|g| g.name.clone()).collect();
-    let mut gidx: HashMap<String, u32> = globals
+    let globals: Vec<String> = prog
+        .globals
         .iter()
-        .enumerate()
-        .map(|(i, n)| (n.clone(), i as u32))
+        .map(|g| g.name.clone())
+        .chain(prog.streams.iter().map(|s| (*s).to_string()))
         .collect();
-    for stream in ["stderr", "stdout"] {
-        if !gidx.contains_key(stream) {
-            gidx.insert(stream.to_string(), globals.len() as u32);
-            globals.push(stream.to_string());
-        }
-    }
     let mut names: Vec<&String> = prog.funcs.keys().collect();
     names.sort();
     let func_index: HashMap<String, u32> = names
@@ -40,7 +35,7 @@ pub fn lower(prog: &TProgram) -> IrProgram {
         .collect();
     let mut funcs = Vec::with_capacity(names.len());
     for name in names {
-        funcs.push(lower_func(prog, &mut pools, &gidx, &func_index, &prog.funcs[name]));
+        funcs.push(lower_func(prog, &mut pools, &func_index, &prog.funcs[name]));
     }
     let main = func_index.get("main").copied();
     IrProgram {
@@ -86,10 +81,9 @@ impl Pools {
 struct FnLower<'a> {
     prog: &'a TProgram,
     pools: &'a mut Pools,
-    gidx: &'a HashMap<String, u32>,
     fidx: &'a HashMap<String, u32>,
-    slots: HashMap<String, u32>,
-    n_slots: u32,
+    /// The function's locals table: slot `i` holds `locals[i]`.
+    locals: &'a [TLocal],
     blocks: Vec<Vec<Inst>>,
     cur: usize,
     next_reg: u32,
@@ -101,17 +95,14 @@ struct FnLower<'a> {
 fn lower_func(
     prog: &TProgram,
     pools: &mut Pools,
-    gidx: &HashMap<String, u32>,
     fidx: &HashMap<String, u32>,
     f: &TFunc,
 ) -> IrFunc {
     let mut fl = FnLower {
         prog,
         pools,
-        gidx,
         fidx,
-        slots: HashMap::new(),
-        n_slots: 0,
+        locals: &f.locals,
         blocks: vec![Vec::new()],
         cur: 0,
         next_reg: 0,
@@ -120,18 +111,16 @@ fn lower_func(
         cont: Vec::new(),
     };
     let mut params = Vec::new();
-    for (name, ty) in &f.params {
-        let slot = fl.add_slot(name);
+    for (slot, TLocal { name, ty }) in f.locals[..f.n_params].iter().enumerate() {
         let pretty = name.split('#').next().unwrap_or(name);
         params.push(IrParam {
-            slot,
+            slot: slot as u32,
             name: fl.pools.s(pretty),
             ty: fl.pools.ty(ty),
             size: prog.types.size_of(ty),
             align: prog.types.align_of(ty),
         });
     }
-    fl.collect_decls(&f.body);
     for s in &f.body {
         fl.stmt(s);
     }
@@ -141,7 +130,7 @@ fn lower_func(
         name: f.name.clone(),
         is_main: f.name == "main",
         params,
-        n_slots: fl.n_slots,
+        n_slots: f.locals.len() as u32,
         n_regs: fl.max_reg,
         code,
         block_pc,
@@ -180,52 +169,6 @@ fn link(blocks: Vec<Vec<Inst>>) -> (Vec<Inst>, Vec<u32>) {
 }
 
 impl FnLower<'_> {
-    fn add_slot(&mut self, name: &str) -> u32 {
-        let i = self.n_slots;
-        self.slots.insert(name.to_string(), i);
-        self.n_slots += 1;
-        i
-    }
-
-    fn collect_decls(&mut self, stmts: &[TStmt]) {
-        for s in stmts {
-            self.collect_stmt(s);
-        }
-    }
-
-    fn collect_stmt(&mut self, s: &TStmt) {
-        match s {
-            TStmt::Decl { name, .. } => {
-                self.add_slot(name);
-            }
-            TStmt::Block(b) => self.collect_decls(b),
-            TStmt::If(_, t, e) => {
-                self.collect_stmt(t);
-                if let Some(e) = e {
-                    self.collect_stmt(e);
-                }
-            }
-            TStmt::While(_, b) | TStmt::DoWhile(b, _) => self.collect_stmt(b),
-            TStmt::For { init, body, .. } => {
-                if let Some(i) = init {
-                    self.collect_stmt(i);
-                }
-                self.collect_stmt(body);
-            }
-            TStmt::Switch(_, cases) => {
-                for (_, body) in cases {
-                    self.collect_decls(body);
-                }
-            }
-            TStmt::Expr(_)
-            | TStmt::Return(_)
-            | TStmt::Break
-            | TStmt::Continue
-            | TStmt::OptMemcpy { .. }
-            | TStmt::Empty => {}
-        }
-    }
-
     fn emit(&mut self, i: Inst) {
         self.blocks[self.cur].push(i);
     }
@@ -270,7 +213,9 @@ impl FnLower<'_> {
     fn stmt(&mut self, s: &TStmt) {
         let mark = self.next_reg;
         match s {
-            TStmt::Decl { name, ty, is_const, init, .. } => {
+            TStmt::Decl { local, is_const, init, .. } => {
+                let locals = self.locals;
+                let TLocal { name, ty } = &locals[local.0 as usize];
                 let size = self.size(ty);
                 let align = self.prog.types.align_of(ty);
                 let pretty = name.split('#').next().unwrap_or(name);
@@ -288,8 +233,7 @@ impl FnLower<'_> {
                 } else {
                     loc
                 };
-                let slot = self.slots[name];
-                self.emit(Inst::BindSlot { slot, src: bound });
+                self.emit(Inst::BindSlot { slot: local.0, src: bound });
             }
             TStmt::Expr(e) => {
                 self.expr(e);
@@ -489,19 +433,16 @@ impl FnLower<'_> {
 
     fn lvalue(&mut self, e: &TExpr) -> Reg {
         match &e.kind {
-            TExprKind::LvVar(name) => {
-                if let Some(&slot) = self.slots.get(name) {
-                    let n = self.pools.s(name);
-                    let d = self.reg();
-                    self.emit(Inst::SlotLoc { dst: d, slot, name: n });
-                    d
-                } else if let Some(&g) = self.gidx.get(name) {
-                    let d = self.reg();
-                    self.emit(Inst::GlobalLoc { dst: d, g: GlobalId(g) });
-                    d
-                } else {
-                    self.unsupported(format!("unbound variable `{name}`"))
-                }
+            TExprKind::LvLocal(l) => {
+                let n = self.pools.s(&self.locals[l.0 as usize].name);
+                let d = self.reg();
+                self.emit(Inst::SlotLoc { dst: d, slot: l.0, name: n });
+                d
+            }
+            TExprKind::LvGlobal(g) => {
+                let d = self.reg();
+                self.emit(Inst::GlobalLoc { dst: d, g: *g });
+                d
             }
             TExprKind::LvDeref(p) => {
                 let v = self.expr(p);
@@ -545,7 +486,10 @@ impl FnLower<'_> {
             }
             // Bare lvalue in value position: evaluate to its address (the
             // tree engine's robustness fallback).
-            TExprKind::LvVar(_) | TExprKind::LvDeref(_) | TExprKind::LvMember(..) => {
+            TExprKind::LvLocal(_)
+            | TExprKind::LvGlobal(_)
+            | TExprKind::LvDeref(_)
+            | TExprKind::LvMember(..) => {
                 let loc = self.lvalue(e);
                 let t = self.ty(&Ty::ptr(e.ty.clone()));
                 let d = self.reg();

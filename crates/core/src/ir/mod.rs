@@ -4,7 +4,8 @@
 //! dispatch dominates end-to-end time once the memory model is fast
 //! (BENCH_pr3). This module lowers the typechecked AST to a compact
 //! MIR-like program — basic blocks of explicit-order instructions over
-//! virtual registers, locals pre-resolved to frame-slot indices, literals
+//! virtual registers, locals addressed by the frame slot the type checker
+//! numbered them with, literals
 //! and type metadata constant-pooled, and structured control flow
 //! (`if`/`while`/`&&`/`||`/`?:`/`switch`) compiled to explicit jumps — and
 //! executes it with a flat match-on-opcode loop ([`vm`]).
@@ -22,7 +23,11 @@
 //!   engine performs it — pure computation may be fused, effects may not;
 //! * locals are *bindings*, not storage: a `Decl` allocates a fresh object
 //!   each time it executes and only binds its slot **after** the
-//!   initialiser ran (so `int x = x + 1;` still reports `x` unbound);
+//!   initialiser ran, as the tree engine binds its frame entry. (The type
+//!   checker brings a name into scope after its initialiser too, so
+//!   `int x = x + 1;` is "unknown identifier `x`", or reads a global `x`
+//!   if there is one, rather than the C11 6.2.1p7 reading of the new
+//!   `x`.) A slot read before its binding reports the variable unbound;
 //! * unlowerable or ill-typed constructs become [`Inst::Unsupported`] with
 //!   the tree engine's exact message, preserving its lazy-error semantics;
 //! * frame teardown kills locals in reverse allocation order, innermost
@@ -91,10 +96,7 @@ pub struct StrId(pub u32);
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FuncId(pub u32);
 
-/// Index into [`IrProgram::globals`] (declaration order, then the
-/// predefined `stderr`/`stdout` stream handles).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct GlobalId(pub u32);
+pub use crate::tast::GlobalId;
 
 /// One bytecode instruction. Register operands are read before `dst` is
 /// written; jump targets are absolute instruction offsets after linking.
@@ -314,7 +316,8 @@ pub struct IrFunc {
     pub is_main: bool,
     /// Parameters, in declaration order.
     pub params: Vec<IrParam>,
-    /// Number of local slots (params + declarations).
+    /// Number of local slots (params + declarations): the length of the
+    /// function's locals table, one slot per [`crate::tast::LocalId`].
     pub n_slots: u32,
     /// Number of virtual registers.
     pub n_regs: u32,
@@ -340,7 +343,8 @@ pub struct IrProgram {
     pub types: Vec<Ty>,
     /// String pool (names, literals, messages; deduplicated).
     pub strs: Vec<String>,
-    /// Global object names: declaration order, then `stderr`/`stdout`.
+    /// Global object names, indexed by [`GlobalId`]: declaration order,
+    /// hoisted `static` locals, then the undeclared `stderr`/`stdout`.
     pub globals: Vec<String>,
     /// The entry function, when the program defines `main`.
     pub main: Option<u32>,

@@ -69,15 +69,9 @@ fn collect_args<C: Capability>(
 /// return the exit code, exactly as the tree engine's `main` call does.
 pub(crate) fn execute<C: Capability>(it: &mut Interp<'_, C>, ir: &IrProgram) -> EResult<i64> {
     let main = ir.main.expect("program has no `main`");
-    // Dense global location table (post-freeze; setup ran already).
-    let gtab: Vec<PtrVal<C>> = ir
-        .globals
-        .iter()
-        .map(|n| it.globals.get(n).expect("global allocated").0.clone())
-        .collect();
     let mut frames: Vec<VmFrame<C>> = Vec::new();
     push_frame(it, ir, &mut frames, main, &mut Vec::new(), 0)?;
-    match run_loop(it, ir, &gtab, &mut frames) {
+    match run_loop(it, ir, &mut frames) {
         // One shared conversion with the tree engine (see
         // `interp::exit_code`): the engines cannot drift on how wide or
         // unsigned returns from `main` become exit statuses.
@@ -189,7 +183,6 @@ enum Xfer<C: Capability> {
 fn run_loop<C: Capability>(
     it: &mut Interp<'_, C>,
     ir: &IrProgram,
-    gtab: &[PtrVal<C>],
     frames: &mut Vec<VmFrame<C>>,
 ) -> EResult<Value<C>> {
     // Argument values of the call being made, reused by every call so
@@ -199,7 +192,7 @@ fn run_loop<C: Capability>(
         let xfer = {
             let frame = frames.last_mut().expect("active frame");
             let func = &ir.funcs[frame.func as usize];
-            dispatch(it, ir, gtab, frame, func, &mut args)?
+            dispatch(it, ir, frame, func, &mut args)?
         };
         match xfer {
             Xfer::Call { f, dst } => push_frame(it, ir, frames, f, &mut args, dst)?,
@@ -218,7 +211,6 @@ fn run_loop<C: Capability>(
 fn dispatch<C: Capability>(
     it: &mut Interp<'_, C>,
     ir: &IrProgram,
-    gtab: &[PtrVal<C>],
     frame: &mut VmFrame<C>,
     func: &super::IrFunc,
     args: &mut Vec<Value<C>>,
@@ -273,7 +265,8 @@ fn dispatch<C: Capability>(
                 frame.regs[*dst as usize] = RVal::Loc(p);
             }
             Inst::GlobalLoc { dst, g } => {
-                frame.regs[*dst as usize] = RVal::Loc(gtab[g.0 as usize].clone());
+                // The world setup allocated (and froze) every global.
+                frame.regs[*dst as usize] = RVal::Loc(it.globals[g.0 as usize].clone());
             }
             Inst::DerefLoc { dst, src } => {
                 let p = it.deref(val(frame, *src)?.clone())?;

@@ -106,16 +106,7 @@ pub fn run(src: &str, profile: &Profile) -> RunResult {
 /// (portability across architectures, §3.10).
 #[must_use]
 pub fn run_with<C: Capability>(src: &str, profile: &Profile) -> RunResult {
-    match compile_for::<C>(src, profile) {
-        Ok(prog) => Interp::<C>::new(&prog, profile).run(),
-        Err(msg) => RunResult {
-            outcome: Outcome::Error(msg),
-            stdout: String::new(),
-            stderr: String::new(),
-            unspecified_reads: 0,
-            mem_stats: cheri_mem::MemStats::default(),
-        },
-    }
+    run_with_engine::<C>(src, profile, Engine::default())
 }
 
 /// [`run_with`] with an explicit [`Engine`] selection (`run`/`run_with`
@@ -125,13 +116,7 @@ pub fn run_with<C: Capability>(src: &str, profile: &Profile) -> RunResult {
 pub fn run_with_engine<C: Capability>(src: &str, profile: &Profile, engine: Engine) -> RunResult {
     match compile_for::<C>(src, profile) {
         Ok(prog) => Interp::<C>::new(&prog, profile).with_engine(engine).run(),
-        Err(msg) => RunResult {
-            outcome: Outcome::Error(msg),
-            stdout: String::new(),
-            stderr: String::new(),
-            unspecified_reads: 0,
-            mem_stats: cheri_mem::MemStats::default(),
-        },
+        Err(msg) => front_end_error(msg),
     }
 }
 
@@ -154,16 +139,18 @@ pub fn run_traced_with_engine(
         Ok(prog) => Interp::<MorelloCap>::new(&prog, profile)
             .with_engine(engine)
             .run_with_events(),
-        Err(msg) => (
-            RunResult {
-                outcome: Outcome::Error(msg),
-                stdout: String::new(),
-                stderr: String::new(),
-                unspecified_reads: 0,
-                mem_stats: cheri_mem::MemStats::default(),
-            },
-            Vec::new(),
-        ),
+        Err(msg) => (front_end_error(msg), Vec::new()),
+    }
+}
+
+/// The result of a run the front end stopped before it began.
+fn front_end_error(msg: String) -> RunResult {
+    RunResult {
+        outcome: Outcome::Error(msg),
+        stdout: String::new(),
+        stderr: String::new(),
+        unspecified_reads: 0,
+        mem_stats: cheri_mem::MemStats::default(),
     }
 }
 

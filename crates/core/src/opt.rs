@@ -64,7 +64,7 @@ fn peephole_copy_prop(stmts: &mut [TStmt]) {
         let decl = a.last_mut().expect("split point");
         let next = &mut b[0];
         let TStmt::Decl {
-            name,
+            local,
             init: Some(TInit::Scalar(init)),
             ..
         } = decl
@@ -89,7 +89,7 @@ fn peephole_copy_prop(stmts: &mut [TStmt]) {
         else {
             continue;
         };
-        if !matches!(&lv.kind, TExprKind::LvVar(n) if n == name) {
+        if !is_var(lv, *local) {
             continue;
         }
         let TExprKind::PtrAdd {
@@ -101,7 +101,7 @@ fn peephole_copy_prop(stmts: &mut [TStmt]) {
         else {
             continue;
         };
-        if e1 != e2 || !loads_var(inner, name) {
+        if e1 != e2 || !loads_var(inner, *local) {
             continue;
         }
         let Some(c2) = fold_const(idx2) else { continue };
@@ -131,14 +131,12 @@ fn peephole_copy_prop(stmts: &mut [TStmt]) {
 fn opt_stmt(s: TStmt, opt: &OptFlags) -> TStmt {
     match s {
         TStmt::Decl {
-            name,
-            ty,
+            local,
             is_const,
             init,
             pos,
         } => TStmt::Decl {
-            name,
-            ty,
+            local,
             is_const,
             init: init.map(|i| opt_init(i, opt)),
             pos,
@@ -445,10 +443,10 @@ fn match_copy_loop(s: &TStmt) -> Option<TStmt> {
     // init: declaration of `i` with scalar 0, or assignment i = 0.
     let ivar = match &**init {
         TStmt::Decl {
-            name,
+            local,
             init: Some(TInit::Scalar(z)),
             ..
-        } if matches!(z.kind, TExprKind::ConstInt(0)) => name.clone(),
+        } if matches!(z.kind, TExprKind::ConstInt(0)) => *local,
         _ => return None,
     };
     // cond: Load(i) < N (possibly through casts).
@@ -461,12 +459,12 @@ fn match_copy_loop(s: &TStmt) -> Option<TStmt> {
         } => (lhs, rhs),
         _ => return None,
     };
-    if !loads_var(cmp_lhs, &ivar) {
+    if !loads_var(cmp_lhs, ivar) {
         return None;
     }
     // step: i++ (IncDec on i).
     match &step.kind {
-        TExprKind::IncDec { lv, inc: true, .. } if is_var(lv, &ivar) => {}
+        TExprKind::IncDec { lv, inc: true, .. } if is_var(lv, ivar) => {}
         _ => return None,
     }
     // body: single statement `d[i] = s[i]` at element size 1.
@@ -481,11 +479,11 @@ fn match_copy_loop(s: &TStmt) -> Option<TStmt> {
     let TExprKind::Assign { lv, rhs } = &assign.kind else {
         return None;
     };
-    let dst = indexed_base(lv, &ivar)?;
+    let dst = indexed_base(lv, ivar)?;
     let TExprKind::Load(src_lv) = &rhs.kind else {
         return None;
     };
-    let src = indexed_base(src_lv, &ivar)?;
+    let src = indexed_base(src_lv, ivar)?;
     Some(TStmt::OptMemcpy {
         dst,
         src,
@@ -500,21 +498,21 @@ fn strip_casts(e: &TExpr) -> &TExpr {
     }
 }
 
-fn is_var(e: &TExpr, name: &str) -> bool {
-    matches!(&e.kind, TExprKind::LvVar(n) if n == name)
+fn is_var(e: &TExpr, local: LocalId) -> bool {
+    matches!(e.kind, TExprKind::LvLocal(l) if l == local)
 }
 
-fn loads_var(e: &TExpr, name: &str) -> bool {
+fn loads_var(e: &TExpr, local: LocalId) -> bool {
     match &e.kind {
-        TExprKind::Load(lv) => is_var(lv, name),
-        TExprKind::Cast { arg, .. } => loads_var(arg, name),
+        TExprKind::Load(lv) => is_var(lv, local),
+        TExprKind::Cast { arg, .. } => loads_var(arg, local),
         _ => false,
     }
 }
 
 /// If `e` is the lvalue `base[i]` with element size 1 and index variable
 /// `ivar`, return the base pointer expression.
-fn indexed_base(e: &TExpr, ivar: &str) -> Option<TExpr> {
+fn indexed_base(e: &TExpr, ivar: LocalId) -> Option<TExpr> {
     let TExprKind::LvDeref(p) = &e.kind else {
         return None;
     };
@@ -558,14 +556,15 @@ mod tests {
         // Find v's initialiser: the (+100)-99 chain must have collapsed to
         // a single +1.
         let mut found = false;
+        let main = &prog.funcs["main"];
         for s in main_body(&prog) {
             if let TStmt::Decl {
-                name,
+                local,
                 init: Some(TInit::Scalar(e)),
                 ..
             } = s
             {
-                if name.starts_with("v#") {
+                if main.locals[local.0 as usize].name.starts_with("v#") {
                     if let TExprKind::Binary { op, rhs, .. } = &e.kind {
                         assert_eq!(*op, crate::ast::BinOp::Add);
                         assert!(matches!(rhs.kind, TExprKind::ConstInt(1)));

@@ -53,6 +53,10 @@ pub struct Parsed {
     pub program: Program,
     /// Struct/union layouts and target sizes.
     pub types: TypeTable,
+    /// How many block-scope `static` objects the unit declares. The type
+    /// checker hoists them to globals and numbers the stream handles
+    /// after them, before it meets them all.
+    pub static_locals: u32,
 }
 
 /// Parse a translation unit.
@@ -68,6 +72,7 @@ pub fn parse(src: &str, layout: TargetLayout) -> PResult<Parsed> {
     Ok(Parsed {
         program,
         types: p.types,
+        static_locals: p.static_locals,
     })
 }
 
@@ -84,6 +89,7 @@ struct Parser {
     typedefs: HashMap<String, Ty>,
     struct_tags: HashMap<String, StructId>,
     enum_consts: HashMap<String, i64>,
+    static_locals: u32,
 }
 
 /// A parsed declarator: the name (empty for abstract declarators) and a
@@ -128,6 +134,7 @@ impl Parser {
             typedefs,
             struct_tags: HashMap::new(),
             enum_consts: HashMap::new(),
+            static_locals: 0,
         }
     }
 
@@ -596,7 +603,11 @@ impl Parser {
                     })
                 }
             },
-            ExprKind::SizeofTy(t) => self.types.size_of(t) as i128,
+            ExprKind::SizeofTy(t) => self
+                .types
+                .object_size(t)
+                .map_err(|msg| ParseError { msg, pos: e.pos })?
+                .into(),
             ExprKind::AlignofTy(t) => self.types.align_of(t) as i128,
             ExprKind::Unary(op @ (UnOp::Neg | UnOp::BitNot), a) => {
                 let a = self.const_eval_i128(a)?;
@@ -1196,6 +1207,7 @@ impl Parser {
             } else {
                 None
             };
+            self.static_locals += u32::from(is_static);
             decls.push(Stmt {
                 kind: StmtKind::Decl(Decl {
                     name: d.name,

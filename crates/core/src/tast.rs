@@ -6,7 +6,9 @@
 //! conversion are explicit, pointer arithmetic is distinguished from integer
 //! arithmetic, and every binary operation on capability-carrying types is
 //! annotated with which operand the result capability derives from —
-//! the elaboration step of §4.4 of the paper.
+//! the elaboration step of §4.4 of the paper. Names are resolved too:
+//! every variable reference is a numbered [`LocalId`] or [`GlobalId`], so
+//! the lowering and both engines index tables instead of looking names up.
 
 use crate::ast::{BinOp, UnOp};
 use crate::lex::Pos;
@@ -184,8 +186,10 @@ pub enum TExprKind {
     ConstFloat(f64),
     /// String literal (materialised as a read-only allocation, decayed).
     StrLit(String),
-    /// Variable reference (lvalue). The name is unique after resolution.
-    LvVar(String),
+    /// A local object of the enclosing function (lvalue).
+    LvLocal(LocalId),
+    /// An object with static storage duration (lvalue).
+    LvGlobal(GlobalId),
     /// Dereference of a pointer rvalue (lvalue).
     LvDeref(Box<TExpr>),
     /// Field of an lvalue: base lvalue plus constant offset (lvalue).
@@ -335,12 +339,11 @@ pub enum TInit {
 /// A typed statement.
 #[derive(Clone, Debug)]
 pub enum TStmt {
-    /// Local variable declaration.
+    /// Local variable declaration: allocates a fresh object for `local`
+    /// each time it runs, and binds it after the initialiser ran.
     Decl {
-        /// Unique name.
-        name: String,
-        /// Object type.
-        ty: Ty,
+        /// The declared object; its name and type are in [`TFunc::locals`].
+        local: LocalId,
         /// The object is `const`-qualified (read-only capability, §3.9).
         is_const: bool,
         /// Initialiser.
@@ -392,6 +395,26 @@ pub enum TStmt {
     Empty,
 }
 
+/// A local object of a function: an index into [`TFunc::locals`]. The
+/// type checker numbers the parameters first, then the declarations in
+/// source order, so the id is also the object's IR frame slot.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct LocalId(pub u32);
+
+/// An object with static storage duration, numbered as the IR numbers its
+/// globals: [`TProgram::globals`], then [`TProgram::streams`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct GlobalId(pub u32);
+
+/// A local object's entry in its function's table.
+#[derive(Clone, Debug)]
+pub struct TLocal {
+    /// Unique name: the source name, `#`, and a number.
+    pub name: String,
+    /// Object type (an array parameter's is already a pointer).
+    pub ty: Ty,
+}
+
 /// A typed function.
 #[derive(Clone, Debug)]
 pub struct TFunc {
@@ -399,8 +422,11 @@ pub struct TFunc {
     pub name: String,
     /// Return type.
     pub ret: Ty,
-    /// Parameters (unique names).
-    pub params: Vec<(String, Ty)>,
+    /// Every local object, indexed by [`LocalId`]: the parameters first,
+    /// then each declaration in source order.
+    pub locals: Box<[TLocal]>,
+    /// How many of `locals` are parameters.
+    pub n_params: usize,
     /// Variadic.
     pub variadic: bool,
     /// Body.
@@ -422,6 +448,9 @@ pub struct TGlobal {
     pub init: Option<TInit>,
     /// Position.
     pub pos: Pos,
+    /// For a hoisted `static` local, the function that declares it: its
+    /// initialiser is checked in that function's scope.
+    pub func: Option<String>,
 }
 
 /// A fully type-checked program.
@@ -429,8 +458,11 @@ pub struct TGlobal {
 pub struct TProgram {
     /// Struct layouts and target sizes.
     pub types: crate::types::TypeTable,
-    /// Globals in declaration order.
+    /// Globals in declaration order, then the hoisted `static` locals.
     pub globals: Vec<TGlobal>,
+    /// The predefined stream handles (`stderr`, `stdout`) the program does
+    /// not declare itself; they follow `globals` in [`GlobalId`] order.
+    pub streams: Vec<&'static str>,
     /// Functions by name.
     pub funcs: std::collections::HashMap<String, TFunc>,
 }
@@ -441,7 +473,10 @@ impl TExpr {
     pub fn is_lvalue(&self) -> bool {
         matches!(
             self.kind,
-            TExprKind::LvVar(_) | TExprKind::LvDeref(_) | TExprKind::LvMember(..)
+            TExprKind::LvLocal(_)
+                | TExprKind::LvGlobal(_)
+                | TExprKind::LvDeref(_)
+                | TExprKind::LvMember(..)
         )
     }
 

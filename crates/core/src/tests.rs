@@ -1291,3 +1291,42 @@ fn unfoldable_constants_are_front_end_errors() {
         }
     }
 }
+
+// ── Types without a size ─────────────────────────────────────────────────
+
+/// Every size the program takes goes through one checked query, so an
+/// object, member, `sizeof` operand or pointer-arithmetic element of a
+/// type without a size (`void`, a function, an array of unknown length)
+/// is a positioned front-end error. Each of these used to panic in
+/// `TypeTable::size_of`, in the parser, the type checker, the lowering or
+/// the interpreter. GNU `void *` arithmetic stays unsupported.
+#[test]
+fn types_without_a_size_are_front_end_errors() {
+    for src in [
+        "int main(void) { void x; return 0; }",
+        "void g;\nint main(void) { return 0; }",
+        "int f(void x) { return 0; }\nint main(void) { return 0; }",
+        "struct s { int n; int a[]; };\nint main(void) { return 0; }",
+        "union u { int n; int a[]; };\nint main(void) { return 0; }",
+        "int a[sizeof(void)];\nint main(void) { return 0; }",
+        "int main(void) { return (int)sizeof(void); }",
+        "int main(void) { return (int)sizeof(int[]); }",
+        "int main(void) { int (*a)[]; return (int)sizeof(*a); }",
+        "int main(void) { void *p = 0; p = p + 1; return 0; }",
+        "int main(void) { void *p = 0; p++; return 0; }",
+        "int main(void) { void *p = 0; p += 1; return 0; }",
+        "int main(void) { void *p = 0; void *q = 0; return (int)(p - q); }",
+        "int main(void) { void *a[2]; a[0][0]; return 0; }",
+        "int main(void) { int (*a)[]; a++; return 0; }",
+        "int g(void) { return 0; }\nint main(void) { g + 1; return 0; }",
+    ] {
+        match crate::front_end(src, 16) {
+            Err(e) => assert!(
+                (e.starts_with("parse error at ") || e.starts_with("type error at "))
+                    && e.contains("has no size"),
+                "{src}: {e}"
+            ),
+            Ok(_) => panic!("{src}: accepted"),
+        }
+    }
+}

@@ -51,12 +51,6 @@ struct FuncSig {
     defined: bool,
 }
 
-#[derive(Clone, Debug)]
-struct Local {
-    unique: String,
-    ty: Ty,
-}
-
 /// Type-check a parsed translation unit.
 ///
 /// # Errors
@@ -70,18 +64,32 @@ pub fn check(parsed: Parsed) -> TResult<TProgram> {
         scopes: Vec::new(),
         counter: 0,
         ret_ty: Ty::Void,
+        func: String::new(),
+        locals: Vec::new(),
+        static_base: 0,
         static_locals: Vec::new(),
     };
-    ck.program(parsed.program)
+    ck.program(parsed.program, parsed.static_locals)
 }
 
+/// Name resolution happens here and nowhere else: every variable
+/// reference leaves the checker as a numbered [`TExprKind::LvLocal`] or
+/// [`TExprKind::LvGlobal`]. The scopes map each name to that lvalue and
+/// the object's type.
 struct Checker {
     types: TypeTable,
-    globals: HashMap<String, (Ty, bool)>,
+    /// File-scope objects: declared globals and undeclared stream handles.
+    globals: HashMap<String, (TExprKind, Ty)>,
     funcs: HashMap<String, FuncSig>,
-    scopes: Vec<HashMap<String, Local>>,
+    scopes: Vec<HashMap<String, (TExprKind, Ty)>>,
     counter: u64,
     ret_ty: Ty,
+    /// The function being checked, and its locals table so far.
+    func: String,
+    locals: Vec<TLocal>,
+    /// The number of declared globals, which take the first [`GlobalId`]s:
+    /// the id of the first hoisted `static` local.
+    static_base: u32,
     /// `static` locals hoisted to static storage (unique names).
     static_locals: Vec<TGlobal>,
 }
@@ -154,9 +162,9 @@ impl Checker {
 
     // ── Program structure ────────────────────────────────────────────────
 
-    fn program(&mut self, prog: ast::Program) -> TResult<TProgram> {
+    fn program(&mut self, prog: ast::Program, static_locals: u32) -> TResult<TProgram> {
         // First pass: record signatures and global types so forward
-        // references work.
+        // references work. A redeclared global names its last declaration.
         for item in &prog.items {
             match item {
                 Item::Func(f) => {
@@ -178,22 +186,29 @@ impl Checker {
                 }
                 Item::Global(g) => {
                     let ty = self.complete_decl_ty(&g.ty, g.init.as_ref(), g.pos)?;
-                    self.globals.insert(g.name.clone(), (ty, g.is_const));
+                    let id = GlobalId(self.static_base);
+                    self.static_base += 1;
+                    self.globals.insert(g.name.clone(), (TExprKind::LvGlobal(id), ty));
                 }
             }
         }
-        // Predefined stream globals so `fprintf(stderr, ...)` type-checks.
+        // Predefined stream globals so `fprintf(stderr, ...)` type-checks;
+        // they are numbered after the hoisted `static` locals.
+        let mut streams = Vec::new();
         for stream in ["stderr", "stdout"] {
-            self.globals
-                .entry(stream.to_string())
-                .or_insert_with(|| (Ty::ptr(Ty::Void), true));
+            if !self.globals.contains_key(stream) {
+                let id = GlobalId(self.static_base + static_locals + streams.len() as u32);
+                self.globals
+                    .insert(stream.to_string(), (TExprKind::LvGlobal(id), Ty::ptr(Ty::Void)));
+                streams.push(stream);
+            }
         }
         let mut globals = Vec::new();
         let mut funcs = HashMap::new();
         for item in prog.items {
             match item {
                 Item::Global(g) => {
-                    let ty = self.globals[&g.name].0.clone();
+                    let ty = self.globals[&g.name].1.clone();
                     let init = match g.init {
                         Some(init) => Some(self.init(&ty, init, g.pos)?),
                         None => None,
@@ -204,6 +219,7 @@ impl Checker {
                         is_const: g.is_const,
                         init,
                         pos: g.pos,
+                        func: None,
                     });
                 }
                 Item::Func(f) => {
@@ -223,28 +239,38 @@ impl Checker {
         Ok(TProgram {
             types: std::mem::take(&mut self.types),
             globals,
+            streams,
             funcs,
         })
     }
 
-    /// Complete an object type from its initialiser (unsized arrays).
+    /// Complete an object type from its initialiser (unsized arrays). The
+    /// result has a size.
     fn complete_decl_ty(&self, ty: &Ty, init: Option<&Init>, pos: Pos) -> TResult<Ty> {
-        if let Ty::Array(elem, None) = ty {
-            let n = match init {
-                Some(Init::List(items)) => items.len() as u64,
-                Some(Init::Expr(Expr {
-                    kind: ExprKind::StrLit(s),
-                    ..
-                })) => s.len() as u64 + 1,
-                _ => return err(pos, "unsized array needs an initialiser"),
-            };
-            let ty = Ty::Array(elem.clone(), Some(n));
-            return match self.types.check_size(&ty) {
-                Ok(()) => Ok(ty),
-                Err(msg) => err(pos, msg),
-            };
-        }
-        Ok(ty.clone())
+        let ty = match ty {
+            Ty::Array(elem, None) => {
+                let n = match init {
+                    Some(Init::List(items)) => items.len() as u64,
+                    Some(Init::Expr(Expr {
+                        kind: ExprKind::StrLit(s),
+                        ..
+                    })) => s.len() as u64 + 1,
+                    _ => return err(pos, "unsized array needs an initialiser"),
+                };
+                Ty::Array(elem.clone(), Some(n))
+            }
+            _ => ty.clone(),
+        };
+        self.size(&ty, pos)?;
+        Ok(ty)
+    }
+
+    /// The size of `ty`, which the program takes at `pos`: an error if
+    /// `ty` has none.
+    fn size(&self, ty: &Ty, pos: Pos) -> TResult<u64> {
+        self.types
+            .object_size(ty)
+            .map_err(|msg| TypeError { msg, pos })
     }
 
     fn function(
@@ -257,33 +283,41 @@ impl Checker {
         pos: Pos,
     ) -> TResult<TFunc> {
         self.scopes.push(HashMap::new());
-        let mut tparams = Vec::new();
+        self.func = name.to_string();
         for p in params {
             let mut ty = p.ty;
             if let Ty::Array(elem, _) = ty {
                 ty = Ty::ptr(*elem);
             }
-            let unique = self.unique(&p.name);
-            self.scopes.last_mut().expect("scope").insert(
-                p.name.clone(),
-                Local {
-                    unique: unique.clone(),
-                    ty: ty.clone(),
-                },
-            );
-            tparams.push((unique, ty));
+            self.size(&ty, pos)?;
+            self.declare_local(p.name, ty);
         }
+        let n_params = self.locals.len();
         self.ret_ty = ret.clone();
         let body = self.block(body)?;
         self.scopes.pop();
         Ok(TFunc {
             name: name.to_string(),
             ret,
-            params: tparams,
+            locals: std::mem::take(&mut self.locals).into_boxed_slice(),
+            n_params,
             variadic,
             body,
             pos,
         })
+    }
+
+    /// Bring the local object `name` into the innermost scope as the next
+    /// entry of the function's locals table.
+    fn declare_local(&mut self, name: String, ty: Ty) -> LocalId {
+        let id = LocalId(self.locals.len() as u32);
+        let unique = self.unique(&name);
+        self.scopes
+            .last_mut()
+            .expect("scope")
+            .insert(name, (TExprKind::LvLocal(id), ty.clone()));
+        self.locals.push(TLocal { name: unique, ty });
+        id
     }
 
     // ── Statements ───────────────────────────────────────────────────────
@@ -301,38 +335,27 @@ impl Checker {
                     Some(i) => Some(self.init(&ty, i, d.pos)?),
                     None => None,
                 };
-                let unique = self.unique(&d.name);
                 if d.is_static {
                     // Static local: static storage duration; the scope maps
                     // the name to the hoisted global.
-                    self.scopes.last_mut().expect("scope").insert(
-                        d.name,
-                        Local {
-                            unique: unique.clone(),
-                            ty: ty.clone(),
-                        },
-                    );
-                    self.globals
-                        .insert(unique.clone(), (ty.clone(), d.is_const));
+                    let unique = self.unique(&d.name);
+                    let id = GlobalId(self.static_base + self.static_locals.len() as u32);
+                    self.scopes
+                        .last_mut()
+                        .expect("scope")
+                        .insert(d.name, (TExprKind::LvGlobal(id), ty.clone()));
                     self.static_locals.push(TGlobal {
                         name: unique,
                         ty,
                         is_const: d.is_const,
                         init,
                         pos,
+                        func: Some(self.func.clone()),
                     });
                     return Ok(TStmt::Empty);
                 }
-                self.scopes.last_mut().expect("scope").insert(
-                    d.name,
-                    Local {
-                        unique: unique.clone(),
-                        ty: ty.clone(),
-                    },
-                );
                 TStmt::Decl {
-                    name: unique,
-                    ty,
+                    local: self.declare_local(d.name, ty),
                     is_const: d.is_const,
                     init,
                     pos,
@@ -539,15 +562,12 @@ impl Checker {
         Ok(te)
     }
 
-    fn lookup_var(&self, name: &str) -> Option<(String, Ty)> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(l) = scope.get(name) {
-                return Some((l.unique.clone(), l.ty.clone()));
-            }
-        }
-        self.globals
-            .get(name)
-            .map(|(ty, _)| (name.to_string(), ty.clone()))
+    fn lookup_var(&self, name: &str) -> Option<&(TExprKind, Ty)> {
+        self.scopes
+            .iter()
+            .rev()
+            .find_map(|scope| scope.get(name))
+            .or_else(|| self.globals.get(name))
     }
 
     fn expr(&mut self, e: Expr) -> TResult<TExpr> {
@@ -607,10 +627,10 @@ impl Checker {
                 from_noncap: false,
             }),
             ExprKind::Ident(name) => {
-                if let Some((unique, ty)) = self.lookup_var(&name) {
+                if let Some((kind, ty)) = self.lookup_var(&name) {
                     return Ok(TExpr {
-                        ty,
-                        kind: TExprKind::LvVar(unique),
+                        ty: ty.clone(),
+                        kind: kind.clone(),
                         pos,
                         from_noncap: false,
                     });
@@ -637,10 +657,7 @@ impl Checker {
                 let lv = self.lvalue(*arg)?;
                 let (ty, elem) = match &lv.ty {
                     Ty::Int(_) => (lv.ty.clone(), 0),
-                    Ty::Ptr { pointee, .. } => {
-                        let sz = self.types.size_of(pointee);
-                        (lv.ty.clone(), sz)
-                    }
+                    Ty::Ptr { pointee, .. } => (lv.ty.clone(), self.size(pointee, pos)?),
                     t => return err(pos, format!("cannot increment value of type {t}")),
                 };
                 Ok(TExpr {
@@ -660,9 +677,7 @@ impl Checker {
                 let base = self.rvalue(*base)?;
                 let idx = self.rvalue(*idx)?;
                 let (pointee, elem) = match &base.ty {
-                    Ty::Ptr { pointee, .. } => {
-                        ((**pointee).clone(), self.types.size_of(pointee))
-                    }
+                    Ty::Ptr { pointee, .. } => ((**pointee).clone(), self.size(pointee, pos)?),
                     t => return err(pos, format!("cannot index value of type {t}")),
                 };
                 let idx = self.promote(idx);
@@ -761,10 +776,7 @@ impl Checker {
                 let a = self.expr(*a)?;
                 match (&a.ty, &a.kind) {
                     (Ty::Func { .. }, _) => Ok(self.decay_func(a)),
-                    (
-                        _,
-                        TExprKind::LvVar(_) | TExprKind::LvDeref(_) | TExprKind::LvMember(..),
-                    ) => {
+                    (_, _) if a.is_lvalue() => {
                         let ty = Ty::ptr(a.ty.clone());
                         Ok(TExpr {
                             ty,
@@ -780,15 +792,10 @@ impl Checker {
                 let arg = self.rvalue(*arg)?;
                 self.convert(arg, &to, true)
             }
-            ExprKind::SizeofTy(t) => {
-                Ok(const_int(IntTy::ULong, self.types.size_of(&t) as i128, pos))
-            }
+            ExprKind::SizeofTy(t) => Ok(const_int(IntTy::ULong, self.size(&t, pos)?.into(), pos)),
             ExprKind::SizeofExpr(arg) => {
                 let a = self.expr(*arg)?;
-                if matches!(a.ty, Ty::Func { .. } | Ty::Void) {
-                    return err(pos, "sizeof of function or void");
-                }
-                Ok(const_int(IntTy::ULong, self.types.size_of(&a.ty) as i128, pos))
+                Ok(const_int(IntTy::ULong, self.size(&a.ty, pos)?.into(), pos))
             }
             ExprKind::AlignofTy(t) => {
                 Ok(const_int(IntTy::ULong, self.types.align_of(&t) as i128, pos))
@@ -883,7 +890,7 @@ impl Checker {
         }
         match (op, l.ty.is_ptr(), r.ty.is_ptr()) {
             (BinOp::Add | BinOp::Sub, true, false) => {
-                let elem = self.types.size_of(l.ty.pointee().expect("pointer"));
+                let elem = self.size(l.ty.pointee().expect("pointer"), pos)?;
                 let idx = self.promote(r);
                 if idx.int_ty().is_none() {
                     return err(pos, "pointer arithmetic needs an integer operand");
@@ -902,7 +909,7 @@ impl Checker {
                 })
             }
             (BinOp::Add, false, true) => {
-                let elem = self.types.size_of(r.ty.pointee().expect("pointer"));
+                let elem = self.size(r.ty.pointee().expect("pointer"), pos)?;
                 let idx = self.promote(l);
                 let ty = r.ty.clone();
                 Ok(TExpr {
@@ -918,7 +925,7 @@ impl Checker {
                 })
             }
             (BinOp::Sub, true, true) => {
-                let elem = self.types.size_of(l.ty.pointee().expect("pointer"));
+                let elem = self.size(l.ty.pointee().expect("pointer"), pos)?;
                 Ok(TExpr {
                     ty: Ty::Int(IntTy::Long),
                     kind: TExprKind::PtrDiff {
@@ -1146,7 +1153,7 @@ impl Checker {
                     if !matches!(op, BinOp::Add | BinOp::Sub) {
                         return err(pos, "invalid compound assignment on pointer");
                     }
-                    let elem = self.types.size_of(pointee);
+                    let elem = self.size(pointee, pos)?;
                     let idx = self.promote(rhs);
                     return Ok(TExpr {
                         ty: lv.ty.clone(),
@@ -1742,12 +1749,12 @@ mod tests {
         let mut found = None;
         for st in &f.body {
             if let TStmt::Decl {
-                name,
+                local,
                 init: Some(TInit::Scalar(e)),
                 ..
             } = st
             {
-                if name.starts_with("c0") {
+                if f.locals[local.0 as usize].name.starts_with("c0") {
                     if let TExprKind::Binary { derive, .. } = &e.kind {
                         found = Some(*derive);
                     }

@@ -418,8 +418,9 @@ impl TypeTable {
     ///
     /// # Panics
     ///
-    /// Panics on `void`, function types and unsized arrays (the type
-    /// checker rejects `sizeof` on those first). The parser rejects types
+    /// Panics on `void`, function types and unsized arrays. The front end
+    /// takes every size the program asks for through
+    /// [`TypeTable::object_size`], which rejects those, and rejects types
     /// whose size does not fit in a `u64` ([`TypeTable::check_size`]).
     #[must_use]
     pub fn size_of(&self, ty: &Ty) -> u64 {
@@ -438,6 +439,31 @@ impl TypeTable {
             Ty::Array(_, None) => panic!("sizeof(unsized array)"),
             Ty::Struct(id) | Ty::Union(id) => self.structs[id.0].size,
             Ty::Func { .. } => panic!("sizeof(function)"),
+        }
+    }
+
+    /// Size in bytes of an object of type `ty`: the checked form of
+    /// [`TypeTable::size_of`], for every size the program asks for
+    /// (declarations, members, `sizeof`, pointer arithmetic).
+    ///
+    /// # Errors
+    ///
+    /// A message if `ty` has no size (`void`, a function, an array of
+    /// unknown length, or an array of those) or its size does not fit in a
+    /// `u64`.
+    pub fn object_size(&self, ty: &Ty) -> Result<u64, String> {
+        match ty {
+            Ty::Void | Ty::Func { .. } | Ty::Array(_, None) => {
+                Err(format!("type `{ty}` has no size"))
+            }
+            Ty::Array(elem, Some(n)) => {
+                self.object_size(elem)?.checked_mul(*n).ok_or_else(|| {
+                    format!("type `{ty}` is too large: its size does not fit in 64 bits")
+                })
+            }
+            Ty::Int(_) | Ty::Float(_) | Ty::Ptr { .. } | Ty::Struct(_) | Ty::Union(_) => {
+                Ok(self.size_of(ty))
+            }
         }
     }
 
@@ -513,7 +539,8 @@ impl TypeTable {
     ///
     /// # Errors
     ///
-    /// If the struct's size does not fit in a `u64`; the struct keeps its
+    /// If a member has no size (such as a flexible array member) or the
+    /// struct's size does not fit in a `u64`; the struct keeps its
     /// reserved placeholder layout.
     pub fn complete_struct(
         &mut self,
@@ -522,32 +549,39 @@ impl TypeTable {
         members: Vec<(String, Ty)>,
     ) -> Result<(), String> {
         let name = &self.structs[id.0].name;
-        let layout = self.layout_members(is_union, members).ok_or_else(|| {
+        let layout = self.layout_members(is_union, members).map_err(|what| {
             let kind = if is_union { "union" } else { "struct" };
-            format!("{kind} `{name}` is too large: its size does not fit in 64 bits")
+            format!("{kind} `{name}` {what}")
         })?;
         let name = name.clone();
         self.structs[id.0] = StructLayout { name, ..layout };
         Ok(())
     }
 
-    /// Lay out members whose own sizes fit in a `u64`, or `None` if the
-    /// whole does not.
-    fn layout_members(&self, is_union: bool, members: Vec<(String, Ty)>) -> Option<StructLayout> {
+    /// Lay out members, or say what is wrong with them: one has no size,
+    /// or the whole does not fit in a `u64`.
+    fn layout_members(
+        &self,
+        is_union: bool,
+        members: Vec<(String, Ty)>,
+    ) -> Result<StructLayout, String> {
+        let too_large = || "is too large: its size does not fit in 64 bits".to_string();
         let mut fields = Vec::new();
         let mut offset = 0u64;
         let mut align = 1u64;
         let mut size = 0u64;
         for (fname, fty) in members {
             let fa = self.align_of(&fty);
-            let fs = self.size_of(&fty);
+            let fs = self
+                .object_size(&fty)
+                .map_err(|msg| format!("member `{fname}`: {msg}"))?;
             align = align.max(fa);
             let foff = if is_union {
                 0
             } else {
-                offset = offset.checked_add(fa - 1)? & !(fa - 1);
+                offset = offset.checked_add(fa - 1).ok_or_else(too_large)? & !(fa - 1);
                 let o = offset;
-                offset = offset.checked_add(fs)?;
+                offset = offset.checked_add(fs).ok_or_else(too_large)?;
                 o
             };
             if is_union {
@@ -562,8 +596,8 @@ impl TypeTable {
         if !is_union {
             size = offset;
         }
-        size = size.checked_add(align - 1)? & !(align - 1);
-        Some(StructLayout {
+        size = size.checked_add(align - 1).ok_or_else(too_large)? & !(align - 1);
+        Ok(StructLayout {
             name: String::new(),
             is_union,
             fields,

@@ -147,7 +147,8 @@ impl Scan<'_> {
             TExprKind::ConstInt(_)
             | TExprKind::ConstFloat(_)
             | TExprKind::StrLit(_)
-            | TExprKind::LvVar(_)
+            | TExprKind::LvLocal(_)
+            | TExprKind::LvGlobal(_)
             | TExprKind::FuncAddr(_) => {}
             TExprKind::LvDeref(p) => {
                 self.mark(UbClass::Provenance, pos, "pointer dereference");

@@ -217,6 +217,58 @@ fn one_worker_batch_survives_an_unfoldable_constant() {
     );
 }
 
+/// `void *` arithmetic and a flexible array member come back as front-end
+/// errors, and the good jobs around them still run, at one worker and at
+/// two. Both used to panic in `TypeTable::size_of` and kill their worker,
+/// which lost the whole batch; a batch with one live worker left would
+/// wait for ever, hence the deadline.
+#[test]
+fn batch_survives_types_without_a_size() {
+    for workers in [1, 2] {
+        let cerberus = || vec![Profile::cerberus()];
+        let jobs = vec![
+            job("ok1", OK_PROGRAM, cerberus(), Mode::Run),
+            job(
+                "void-arith",
+                "int main(void) { void *p = 0; p = p + 1; return 0; }",
+                cerberus(),
+                Mode::Run,
+            ),
+            job(
+                "flexible-array",
+                "struct s { int n; int a[]; };\nint main(void) { return 0; }",
+                cerberus(),
+                Mode::Run,
+            ),
+            job("ok2", OK_PROGRAM, cerberus(), Mode::Run),
+        ];
+        let (tx, rx) = std::sync::mpsc::channel();
+        let batch = std::thread::spawn(move || {
+            let out = run_batch::<MorelloCap>(jobs, workers);
+            let rendered: Vec<String> = out.iter().map(crate::job::JobOutput::render).collect();
+            let _ = tx.send(rendered);
+        });
+        let rendered = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .unwrap_or_else(|e| panic!("the batch at {workers} worker(s) ends within 30 s: {e}"));
+        batch.join().expect("the batch thread exits cleanly");
+        assert_eq!(
+            rendered[1],
+            "=== job void-arith [run] ===\n── cerberus ──\n\
+             → error: type error at 1:35: type `void` has no size\n"
+        );
+        assert_eq!(
+            rendered[2],
+            "=== job flexible-array [run] ===\n── cerberus ──\n\
+             → error: parse error at 1:29: struct `s` member `a`: type `int[]` has no size\n"
+        );
+        for (i, id) in [(0, "ok1"), (3, "ok2")] {
+            let head = format!("=== job {id} [run] ===\n── cerberus ──\n→ exit(42)\n");
+            assert!(rendered[i].starts_with(&head), "{}", rendered[i]);
+        }
+    }
+}
+
 /// The tree engine counts steps per AST node and the VM per instruction,
 /// so two runs that both exhaust the step budget stop at different points
 /// with different output, statistics and events. `engine-diff` must count

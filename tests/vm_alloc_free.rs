@@ -15,6 +15,12 @@
 //! Every local is declared at the top of `main`: a declaration inside a
 //! loop body allocates a fresh C object (and its host storage) per
 //! iteration, which is the memory model's business, not the VM's.
+//!
+//! A second gate holds the tree engine to the VM on loops that do create
+//! C objects, a block-scoped local and a call with two parameters: from
+//! `R` to `2R` iterations, its extra host allocations must not exceed the
+//! VM's. Both engines find a local by the number the type checker gave
+//! it, so neither allocates to name one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -193,6 +199,25 @@ int main(void) {
   return (int)(acc % 101);
 }";
 
+/// A block-scoped local, allocated afresh in every iteration.
+const BLOCK_LOCAL: &str = "
+int main(void) {
+  long acc = 0;
+  int r;
+  for (r = 0; r < ROUNDS; r++) { int t = r * 3; acc += t; }
+  return (int)(acc % 101);
+}";
+
+/// A call with two parameters in every iteration.
+const CALL: &str = "
+int add(int a, int b) { return a + b; }
+int main(void) {
+  long acc = 0;
+  int r;
+  for (r = 0; r < ROUNDS; r++) acc = add((int)(acc % 1000), r);
+  return (int)(acc % 101);
+}";
+
 const PROGRAMS: [(&str, &str); 6] = [
     ("dispatch", DISPATCH),
     ("bounds", BOUNDS),
@@ -209,10 +234,11 @@ fn profiles() -> Vec<Profile> {
     vec![Profile::cerberus(), fast, Profile::clang_morello(false)]
 }
 
-/// Host allocations made by one VM run of `src` at `rounds` outer
-/// iterations, with its outcome. Parsing and lowering happen before the
-/// count starts; the tree engine's outcome is checked against the VM's.
-fn vm_run_allocs(src: &str, rounds: u32, profile: &Profile) -> (u64, Outcome) {
+/// Host allocations made by one run of `src` at `rounds` outer
+/// iterations on each engine, VM first, with its outcome. Parsing and
+/// lowering happen before the count starts; the engines' outcomes must
+/// agree.
+fn run_allocs(src: &str, rounds: u32, profile: &Profile) -> ([u64; 2], Outcome) {
     let src = src.replace("ROUNDS", &rounds.to_string());
     let prog = compile_for::<MorelloCap>(&src, profile).expect("program compiles");
     let lowered = Arc::new(ir::lower_for(&prog, &profile.opt));
@@ -220,12 +246,14 @@ fn vm_run_allocs(src: &str, rounds: u32, profile: &Profile) -> (u64, Outcome) {
     let vm = Interp::<MorelloCap>::new(&prog, profile)
         .with_ir(lowered)
         .run();
-    let allocs = allocs_so_far() - before;
+    let vm_allocs = allocs_so_far() - before;
+    let before = allocs_so_far();
     let tree = Interp::<MorelloCap>::new(&prog, profile)
         .with_engine(Engine::Tree)
         .run();
+    let tree_allocs = allocs_so_far() - before;
     assert_eq!(vm.outcome, tree.outcome, "engines disagree on\n{src}");
-    (allocs, vm.outcome)
+    ([vm_allocs, tree_allocs], vm.outcome)
 }
 
 #[test]
@@ -233,20 +261,44 @@ fn vm_loops_do_not_allocate_per_iteration() {
     for profile in profiles() {
         for (name, src) in PROGRAMS {
             // Warm up: one-time lazily initialised state is not per-run.
-            vm_run_allocs(src, R, &profile);
-            let (short, outcome) = vm_run_allocs(src, R, &profile);
+            run_allocs(src, R, &profile);
+            let ([short, _], outcome) = run_allocs(src, R, &profile);
             assert!(
                 matches!(outcome, Outcome::Exit(_)),
                 "{name} on {}: {outcome}",
                 profile.name
             );
-            let (long, _) = vm_run_allocs(src, 2 * R, &profile);
+            let ([long, _], _) = run_allocs(src, 2 * R, &profile);
             assert_eq!(
                 long,
                 short,
                 "{name} on {}: {short} host allocations at {R} iterations, {long} at {}",
                 profile.name,
                 2 * R
+            );
+        }
+    }
+}
+
+#[test]
+fn tree_engine_allocates_no_more_per_iteration_than_the_vm() {
+    for profile in [Profile::cerberus(), Profile::clang_morello(false)] {
+        for (name, src) in [("block-local", BLOCK_LOCAL), ("call", CALL)] {
+            // Warm up, as above.
+            run_allocs(src, R, &profile);
+            let ([vm_short, tree_short], outcome) = run_allocs(src, R, &profile);
+            assert!(
+                matches!(outcome, Outcome::Exit(_)),
+                "{name} on {}: {outcome}",
+                profile.name
+            );
+            let ([vm_long, tree_long], _) = run_allocs(src, 2 * R, &profile);
+            let (vm_extra, tree_extra) = (vm_long - vm_short, tree_long - tree_short);
+            assert!(
+                tree_extra <= vm_extra,
+                "{name} on {}: {R} more iterations cost the tree engine {tree_extra} host \
+                 allocations and the VM {vm_extra}",
+                profile.name
             );
         }
     }
