@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 
 use cheri_core::{run, run_traced, Outcome, Profile};
-use cheri_obs::{binfmt, DiffMode};
+use cheri_obs::binfmt;
 
 use crate::progen::{generate_traced, shrink_program, TracedProgram};
 
@@ -125,7 +125,7 @@ fn event_level_diff(
             }
         }
     }
-    cheri_obs::diff(&oracle_events, &profile_events, DiffMode::Normalized, 3)
+    cheri_obs::diff(&oracle_events, &profile_events, 3)
         .map(|d| cheri_obs::render_diff(&d))
 }
 

@@ -4,6 +4,8 @@
 //! typed form the interpreter executes, inserting implicit conversions and
 //! making capability derivation explicit (§4.4 of the paper).
 
+use std::cmp::Ordering;
+
 use crate::lex::Pos;
 use crate::types::Ty;
 
@@ -62,6 +64,24 @@ impl BinOp {
     #[must_use]
     pub fn is_relational(self) -> bool {
         matches!(self, BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
+    }
+
+    /// Does comparison `self` hold between operands ordered `ord`
+    /// (`None`: unordered, as a NaN is)? The one truth table of the six
+    /// comparison operators, for integers, floats and pointers alike;
+    /// `None` if `self` is not a comparison.
+    #[must_use]
+    #[inline]
+    pub fn compare(self, ord: Option<Ordering>) -> Option<bool> {
+        Some(match self {
+            BinOp::Eq => ord == Some(Ordering::Equal),
+            BinOp::Ne => ord != Some(Ordering::Equal),
+            BinOp::Lt => ord == Some(Ordering::Less),
+            BinOp::Le => matches!(ord, Some(Ordering::Less | Ordering::Equal)),
+            BinOp::Gt => ord == Some(Ordering::Greater),
+            BinOp::Ge => matches!(ord, Some(Ordering::Greater | Ordering::Equal)),
+            _ => return None,
+        })
     }
 
     /// `a op b` over `i128`: the one constant-folding rule, shared by the

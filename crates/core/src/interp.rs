@@ -1171,75 +1171,23 @@ impl<'p, C: Capability> Interp<'p, C> {
             (Some(a), Some(b)) => (a, b),
             _ => return Err(Stop::Unsupported("integer operation on non-integers".into())),
         };
-        let a = lv.value();
         let b = rv.value();
+        let raw = ity.arith(op, lv.value(), b).map_err(|ub| {
+            let detail = match (ub, op) {
+                (Ub::ShiftOutOfRange, _) => return self.ub(ub, format!("shift by {b}")),
+                (Ub::DivisionByZero, BinOp::Div) => "division by zero",
+                (Ub::DivisionByZero, _) => "remainder by zero",
+                (_, BinOp::Div) => "INT_MIN / -1",
+                (_, BinOp::Rem) => "INT_MIN % -1",
+                (_, BinOp::Shl) => "left shift overflow",
+                (_, BinOp::Mul) => "multiplication overflow",
+                _ => "arithmetic overflow",
+            };
+            self.ub(ub, detail)
+        })?;
         if op.is_comparison() {
             // §3.6: address-only comparison for capability-carrying values.
-            let res = match op {
-                BinOp::Eq => a == b,
-                BinOp::Ne => a != b,
-                BinOp::Lt => a < b,
-                BinOp::Le => a <= b,
-                BinOp::Gt => a > b,
-                BinOp::Ge => a >= b,
-                _ => unreachable!("comparison"),
-            };
-            return Ok(Value::Int {
-                ity: IntTy::Int,
-                v: IntVal::Num(i128::from(res)),
-            });
-        }
-        let bits = ity.value_bits();
-        let raw: i128 = match op {
-            BinOp::Add => a + b,
-            BinOp::Sub => a - b,
-            BinOp::Mul => a
-                .checked_mul(b)
-                .ok_or_else(|| self.ub(Ub::SignedOverflow, "multiplication overflow"))?,
-            BinOp::Div => {
-                if b == 0 {
-                    return Err(self.ub(Ub::DivisionByZero, "division by zero"));
-                }
-                if ity.signed() && a == ity.min() && b == -1 {
-                    return Err(self.ub(Ub::SignedOverflow, "INT_MIN / -1"));
-                }
-                a / b
-            }
-            BinOp::Rem => {
-                if b == 0 {
-                    return Err(self.ub(Ub::DivisionByZero, "remainder by zero"));
-                }
-                if ity.signed() && a == ity.min() && b == -1 {
-                    return Err(self.ub(Ub::SignedOverflow, "INT_MIN % -1"));
-                }
-                a % b
-            }
-            BinOp::And => a & b,
-            BinOp::Or => a | b,
-            BinOp::Xor => a ^ b,
-            BinOp::Shl | BinOp::Shr => {
-                if b < 0 || b >= i128::from(bits) {
-                    return Err(self.ub(Ub::ShiftOutOfRange, format!("shift by {b}")));
-                }
-                if op == BinOp::Shl {
-                    let v = a << b;
-                    if ity.signed() && !ity.fits(v) {
-                        return Err(self.ub(Ub::SignedOverflow, "left shift overflow"));
-                    }
-                    v
-                } else if ity.signed() {
-                    a >> b
-                } else {
-                    ((a as u128 & (u128::MAX >> (128 - bits))) >> b) as i128
-                }
-            }
-            _ => unreachable!("handled above"),
-        };
-        // Signed overflow is UB for +,- too (checked post-hoc on the exact
-        // value); unsigned arithmetic wraps.
-        if ity.signed() && !ity.is_capability() && matches!(op, BinOp::Add | BinOp::Sub) && !ity.fits(raw)
-        {
-            return Err(self.ub(Ub::SignedOverflow, "arithmetic overflow"));
+            return Ok(Value::Int { ity: IntTy::Int, v: IntVal::Num(raw) });
         }
         let v = if ity.is_capability() {
             let src = match derive {
@@ -1264,16 +1212,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             (Some(a), Some(b)) => (a, b),
             _ => return Err(Stop::Unsupported("mixed float operands".into())),
         };
-        if op.is_comparison() {
-            let res = match op {
-                BinOp::Eq => a == b,
-                BinOp::Ne => a != b,
-                BinOp::Lt => a < b,
-                BinOp::Le => a <= b,
-                BinOp::Gt => a > b,
-                BinOp::Ge => a >= b,
-                _ => unreachable!("comparison"),
-            };
+        if let Some(res) = op.compare(a.partial_cmp(&b)) {
             return Ok(Value::Int {
                 ity: IntTy::Int,
                 v: IntVal::Num(i128::from(res)),
@@ -1291,27 +1230,20 @@ impl<'p, C: Capability> Interp<'p, C> {
     }
 
     pub(crate) fn unary_int(&mut self, op: UnOp, a: &Value<C>, ity: IntTy) -> EResult<Value<C>> {
-        match op {
-            UnOp::LogNot => Ok(Value::Int {
+        match (op, a) {
+            (UnOp::LogNot, _) => Ok(Value::Int {
                 ity: IntTy::Int,
                 v: IntVal::Num(i128::from(!a.truthy())),
             }),
-            UnOp::Plus => Ok(a.clone()),
-            UnOp::Neg if a.as_float().is_some() => {
-                let v = a.as_float().expect("float");
-                match a {
-                    Value::Float { fty, .. } => Ok(Value::Float { fty: *fty, v: -v }),
-                    _ => unreachable!("checked above"),
-                }
-            }
-            UnOp::Neg | UnOp::BitNot => {
+            (UnOp::Plus, _) => Ok(a.clone()),
+            (UnOp::Neg, Value::Float { fty, v }) => Ok(Value::Float { fty: *fty, v: -v }),
+            (UnOp::Neg | UnOp::BitNot, _) => {
                 let v = a
                     .as_int()
                     .ok_or_else(|| Stop::Unsupported("unary arithmetic operand".into()))?;
-                let raw = if op == UnOp::Neg { -v.value() } else { !v.value() };
-                if ity.signed() && !ity.is_capability() && op == UnOp::Neg && !ity.fits(raw) {
-                    return Err(self.ub(Ub::SignedOverflow, "negation overflow"));
-                }
+                let raw = ity
+                    .arith_unary(op, v.value())
+                    .map_err(|ub| self.ub(ub, "negation overflow"))?;
                 let out = if ity.is_capability() {
                     self.derive_cap_result(v, ity, raw)
                 } else {
@@ -1336,10 +1268,9 @@ impl<'p, C: Capability> Interp<'p, C> {
         match old {
             Value::Ptr(v) if elem > 0 => Ok(Value::Ptr(self.mem.array_shift(v, elem, delta)?)),
             Value::Int { ity, v } => {
-                let raw = v.value() + i128::from(delta);
-                if ity.signed() && !ity.is_capability() && !ity.fits(raw) {
-                    return Err(self.ub(Ub::SignedOverflow, "increment overflow"));
-                }
+                let raw = ity
+                    .arith(BinOp::Add, v.value(), i128::from(delta))
+                    .map_err(|ub| self.ub(ub, "increment overflow"))?;
                 let v = if ity.is_capability() {
                     self.derive_cap_result(v, *ity, raw)
                 } else {
@@ -1438,17 +1369,13 @@ impl<'p, C: Capability> Interp<'p, C> {
         a: &Value<C>,
         b: &Value<C>,
     ) -> EResult<Value<C>> {
-        use std::cmp::Ordering;
         let (Some(a), Some(b)) = (a.as_ptr(), b.as_ptr()) else {
             return Err(Stop::Unsupported("pointer comparison operands".into()));
         };
         let r = match op {
             BinOp::Eq => self.mem.ptr_eq(a, b),
             BinOp::Ne => !self.mem.ptr_eq(a, b),
-            BinOp::Lt => self.mem.ptr_rel_cmp(a, b)? == Ordering::Less,
-            BinOp::Le => self.mem.ptr_rel_cmp(a, b)? != Ordering::Greater,
-            BinOp::Gt => self.mem.ptr_rel_cmp(a, b)? == Ordering::Greater,
-            BinOp::Ge => self.mem.ptr_rel_cmp(a, b)? != Ordering::Less,
+            _ if op.is_relational() => op.compare(Some(self.mem.ptr_rel_cmp(a, b)?)) == Some(true),
             // Only a malformed program gets here (typeck and lowering emit
             // comparisons only); a long-lived service must not panic on it.
             _ => {

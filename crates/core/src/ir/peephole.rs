@@ -16,11 +16,11 @@
 //!   offsets (a pure address add; see the fusion site for why the
 //!   intermediate representability check is preserved);
 //! * **constant folding** — `ConstInt`/`ConstInt`/`Binary` triples (and
-//!   `IntToInt`/`Unary` pairs) replicate `Interp::binary_int` exactly and
-//!   fold **only** when the runtime path provably cannot raise UB — any
-//!   possible `SignedOverflow`/`DivisionByZero`/`ShiftOutOfRange` leaves
-//!   the instruction in place so the error (and its event position) is
-//!   unchanged;
+//!   `IntToInt`/`Unary` pairs) fold by calling what the interpreter runs
+//!   ([`IntTy::arith`], `IntTy::wrap`), **only** when it returns a value —
+//!   an operation that raises UB at runtime (`SignedOverflow`,
+//!   `DivisionByZero`, `ShiftOutOfRange`) stays in place, so the error
+//!   (and its event position) is unchanged;
 //! * **dead-register elimination** — deletes pure, infallible defs
 //!   (`ConstInt`, `ConstFloat`, `Move`, `SetVoid`, `GlobalLoc`) whose
 //!   destination is dead, established by a backward liveness fixpoint
@@ -31,7 +31,7 @@
 //! different granularities); a program can in principle move from "step
 //! limit exceeded" to terminating, exactly as any VM speedup would.
 
-use crate::ast::{BinOp, UnOp};
+use crate::ast::UnOp;
 use crate::types::IntTy;
 
 use super::{Inst, IrFunc, IrProgram, Reg};
@@ -485,8 +485,8 @@ fn fuse_pairs(func: &mut IrFunc, lv: &Liveness) -> bool {
                 keep[pc] = false;
                 changed = true;
             }
-            // `c1 = const; r = op c1` → `r = const`: replicates
-            // `unary_int`, skipping any operand that could raise UB.
+            // `c1 = const; r = op c1` → `r = const`, by the arithmetic
+            // `unary_int` runs; an operand that raises UB is not folded.
             (
                 Inst::ConstInt { dst: d1, ity: sity, v },
                 Inst::Unary { dst: d2, op, ity, src },
@@ -495,16 +495,14 @@ fn fuse_pairs(func: &mut IrFunc, lv: &Liveness) -> bool {
                 && !ity.is_capability()
                 && !lv.live_after(func, pc + 1, *d1) =>
             {
-                let a = sity.wrap(*v);
-                let folded = match op {
-                    UnOp::LogNot => Some((IntTy::Int, i128::from(a == 0))),
-                    UnOp::Plus => Some((*sity, a)),
-                    UnOp::Neg if ity.signed() && !ity.fits(-a) => None, // runtime UB
-                    UnOp::Neg => Some((*ity, ity.wrap(-a))),
-                    UnOp::BitNot => Some((*ity, ity.wrap(!a))),
+                // `!` gives an `int`, `+` its operand unchanged.
+                let rty = match op {
+                    UnOp::LogNot => IntTy::Int,
+                    UnOp::Plus => *sity,
+                    UnOp::Neg | UnOp::BitNot => *ity,
                 };
-                if let Some((rty, rv)) = folded {
-                    func.code[pc + 1] = Inst::ConstInt { dst: *d2, ity: rty, v: rv };
+                if let Ok(raw) = rty.arith_unary(*op, sity.wrap(*v)) {
+                    func.code[pc + 1] = Inst::ConstInt { dst: *d2, ity: rty, v: rty.wrap(raw) };
                     keep[pc] = false;
                     changed = true;
                 }
@@ -526,10 +524,10 @@ fn fuse_pairs(func: &mut IrFunc, lv: &Liveness) -> bool {
                     && !i2.is_capability()
                     && !ity.is_capability()
                 {
-                    let (a, b) = (i1.wrap(*v1), i2.wrap(*v2));
-                    if let Some((rty, rv)) = fold_binary_int(*op, *ity, a, b) {
+                    if let Ok(raw) = ity.arith(*op, i1.wrap(*v1), i2.wrap(*v2)) {
+                        let rty = if op.is_comparison() { IntTy::Int } else { *ity };
                         let (dst, r1, r2) = (*dst, *r1, *r2);
-                        func.code[pc + 2] = Inst::ConstInt { dst, ity: rty, v: rv };
+                        func.code[pc + 2] = Inst::ConstInt { dst, ity: rty, v: rty.wrap(raw) };
                         // The operand defs go too, if now unobservable.
                         if !lv.live_after(func, pc + 2, r1) {
                             keep[pc] = false;
@@ -544,60 +542,6 @@ fn fuse_pairs(func: &mut IrFunc, lv: &Liveness) -> bool {
         }
     }
     compact(func, &keep) || changed
-}
-
-/// Fold a non-capability integer binary operation, replicating
-/// `Interp::binary_int` bit for bit. Returns `None` whenever the runtime
-/// path raises UB (the instruction then stays, so the UB fires at the
-/// same program point with the same message).
-fn fold_binary_int(op: BinOp, ity: IntTy, a: i128, b: i128) -> Option<(IntTy, i128)> {
-    if op.is_comparison() {
-        let res = match op {
-            BinOp::Eq => a == b,
-            BinOp::Ne => a != b,
-            BinOp::Lt => a < b,
-            BinOp::Le => a <= b,
-            BinOp::Gt => a > b,
-            _ => a >= b,
-        };
-        return Some((IntTy::Int, i128::from(res)));
-    }
-    let bits = ity.value_bits();
-    let raw: i128 = match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a.checked_mul(b)?, // i128 overflow is runtime UB
-        BinOp::Div | BinOp::Rem => {
-            if b == 0 || (ity.signed() && a == ity.min() && b == -1) {
-                return None; // DivisionByZero / SignedOverflow
-            }
-            if op == BinOp::Div { a / b } else { a % b }
-        }
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl | BinOp::Shr => {
-            if b < 0 || b >= i128::from(bits) {
-                return None; // ShiftOutOfRange
-            }
-            if op == BinOp::Shl {
-                let v = a << b;
-                if ity.signed() && !ity.fits(v) {
-                    return None; // SignedOverflow
-                }
-                v
-            } else if ity.signed() {
-                a >> b
-            } else {
-                ((a as u128 & (u128::MAX >> (128 - bits))) >> b) as i128
-            }
-        }
-        _ => return None,
-    };
-    if ity.signed() && matches!(op, BinOp::Add | BinOp::Sub) && !ity.fits(raw) {
-        return None; // SignedOverflow
-    }
-    Some((ity, ity.wrap(raw)))
 }
 
 // ── Pass 3: dead-register elimination ───────────────────────────────────
@@ -678,6 +622,7 @@ pub(crate) fn compact(func: &mut IrFunc, keep: &[bool]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::BinOp;
     use crate::tast::DeriveFrom;
     use crate::types::Ty;
     use crate::ir::TyId;
@@ -737,34 +682,45 @@ mod tests {
         );
     }
 
-    #[test]
-    fn possible_signed_overflow_is_never_folded() {
-        // i32::MAX + 1 raises SignedOverflow at runtime: the Binary (and
-        // both operands it reads) must survive untouched.
+    /// What `optimize` makes of `c0 = a; c1 = b; r = c0 op c1` at `ity`:
+    /// the folded constant, or `None` when the code stays as it was.
+    fn fold(op: BinOp, ity: IntTy, a: i128, b: i128) -> Option<(IntTy, i128)> {
         let code = vec![
-            Inst::ConstInt { dst: 0, ity: IntTy::Int, v: i128::from(i32::MAX) },
-            Inst::ConstInt { dst: 1, ity: IntTy::Int, v: 1 },
-            binary(2, BinOp::Add, 0, 1),
+            Inst::ConstInt { dst: 0, ity, v: a },
+            Inst::ConstInt { dst: 1, ity, v: b },
+            Inst::Binary { dst: 2, op, ity, ty: TyId(0), derive: DeriveFrom::Left, lhs: 0, rhs: 1 },
             Inst::Ret { src: 2 },
         ];
         let mut ir = func(code.clone(), 3, vec![0]);
         optimize(&mut ir);
-        assert_eq!(ir.funcs[0].code.len(), code.len());
+        match ir.funcs[0].code[..] {
+            [Inst::ConstInt { dst: 2, ity, v }, Inst::Ret { src: 2 }] => Some((ity, v)),
+            ref left => {
+                assert_eq!(left.len(), code.len(), "{left:?}");
+                None
+            }
+        }
+    }
+
+    #[test]
+    fn possible_signed_overflow_is_never_folded() {
+        // i32::MAX + 1 and 65536 * 65536 raise SignedOverflow at runtime:
+        // the Binary (and both operands it reads) must survive untouched.
+        assert_eq!(fold(BinOp::Add, IntTy::Int, i128::from(i32::MAX), 1), None);
+        assert_eq!(fold(BinOp::Mul, IntTy::Int, 65536, 65536), None);
         // Same for division by zero and out-of-range shifts.
         for op in [BinOp::Div, BinOp::Rem] {
-            assert_eq!(fold_binary_int(op, IntTy::Int, 1, 0), None);
+            assert_eq!(fold(op, IntTy::Int, 1, 0), None);
         }
-        assert_eq!(fold_binary_int(BinOp::Shl, IntTy::Int, 1, 32), None);
-        assert_eq!(fold_binary_int(BinOp::Shr, IntTy::Int, 1, -1), None);
-        // ... while the in-range forms fold to the wrapped result.
-        assert_eq!(
-            fold_binary_int(BinOp::Add, IntTy::UInt, (1 << 32) - 1, 1),
-            Some((IntTy::UInt, 0))
-        );
-        assert_eq!(
-            fold_binary_int(BinOp::Lt, IntTy::Int, -1, 0),
-            Some((IntTy::Int, 1))
-        );
+        assert_eq!(fold(BinOp::Shl, IntTy::Int, 1, 32), None);
+        assert_eq!(fold(BinOp::Shr, IntTy::Int, 1, -1), None);
+        // ... while the in-range forms fold to the wrapped result, an
+        // unsigned product of 2^127 or more included.
+        assert_eq!(fold(BinOp::Add, IntTy::UInt, (1 << 32) - 1, 1), Some((IntTy::UInt, 0)));
+        let max = i128::from(u64::MAX);
+        assert_eq!(max.checked_mul(max), None, "the product is 2^127 or more");
+        assert_eq!(fold(BinOp::Mul, IntTy::ULong, max, max), Some((IntTy::ULong, 1)));
+        assert_eq!(fold(BinOp::Lt, IntTy::Int, -1, 0), Some((IntTy::Int, 1)));
     }
 
     #[test]

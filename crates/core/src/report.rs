@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use cheri_mem::{MemError, MemStats, TrapKind, Ub};
+use cheri_mem::{MemError, MemEvent, MemStats, TrapKind, Ub};
 
 /// The message of the [`Outcome::Error`] a run ends with when it exhausts
 /// its step budget.
@@ -122,6 +122,42 @@ impl RunResult {
             self.outcome.label()
         } else {
             format!("{}\n{}{}", self.outcome.label(), self.stdout, self.stderr)
+        }
+    }
+
+    /// The engine-equivalence gate (`engine-diff` jobs and
+    /// `tests/engine_differential.rs`): where the tree engine's run
+    /// `self`, with its `events`, and the VM's run `vm` of one program
+    /// part, in one line, or `None` if they agree. Two runs the step
+    /// budget stopped agree wherever each stopped: the tree engine counts
+    /// nodes and the VM instructions.
+    #[must_use]
+    pub fn engine_disagreement(
+        &self,
+        events: &[MemEvent],
+        vm: &RunResult,
+        vm_events: &[MemEvent],
+    ) -> Option<String> {
+        if self.outcome.is_step_limit() && vm.outcome.is_step_limit() {
+            return None;
+        }
+        let (tl, vl) = (self.outcome.label(), vm.outcome.label());
+        if tl != vl {
+            Some(format!("outcome tree={tl} bytecode={vl}"))
+        } else if self.stdout != vm.stdout || self.stderr != vm.stderr {
+            Some("output differs between engines".to_string())
+        } else if self.mem_stats != vm.mem_stats {
+            Some("memory statistics differ between engines".to_string())
+        } else if events == vm_events {
+            None
+        } else {
+            let at = events.iter().zip(vm_events).position(|(a, b)| a != b);
+            Some(format!(
+                "event stream differs at #{} (tree {} vs bytecode {} events)",
+                at.unwrap_or_else(|| events.len().min(vm_events.len())),
+                events.len(),
+                vm_events.len(),
+            ))
         }
     }
 }

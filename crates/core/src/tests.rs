@@ -1330,3 +1330,42 @@ fn types_without_a_size_are_front_end_errors() {
         }
     }
 }
+
+/// `*` follows C (6.5p5, 6.2.5p9) in every profile and on every engine: a
+/// signed product that does not fit is `SignedOverflow`, also through
+/// `*=`, and an unsigned one wraps, even when the exact product is 2^127
+/// or more.
+#[test]
+fn multiplication_overflow_follows_c_on_every_engine() {
+    use crate::{run_with_engine, Engine, MorelloCap};
+    let ub = "UB:UB036_signed_overflow".to_string();
+    let cases = [
+        ("int main(void) { int x = 65536; return x * x == 0; }", ub.clone()),
+        ("int main(void) { long x = 3037000500; x *= x; return 0; }", ub),
+        (
+            "int main(void) { unsigned long a = 0xFFFFFFFFFFFFFFFFUL; return a * a == 1 ? 7 : 3; }",
+            "exit(7)".to_string(),
+        ),
+    ];
+    for name in ["cerberus", "clang-morello-O0", "clang-morello-O3"] {
+        let profile = Profile::all_compared()
+            .into_iter()
+            .find(|p| p.name == name)
+            .expect("compared profile");
+        let mut fast = profile.clone();
+        fast.opt = fast.opt.fast();
+        for (src, want) in &cases {
+            for (how, p, engine) in [
+                ("tree", &profile, Engine::Tree),
+                ("vm", &profile, Engine::Bytecode),
+                ("fast", &fast, Engine::Bytecode),
+            ] {
+                let r = run_with_engine::<MorelloCap>(src, p, engine);
+                assert_eq!(&r.outcome.label(), want, "{name} {how}: {src}");
+                if let crate::Outcome::Ub { detail, .. } = &r.outcome {
+                    assert!(detail.contains("multiplication overflow"), "{detail}");
+                }
+            }
+        }
+    }
+}

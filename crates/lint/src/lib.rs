@@ -178,6 +178,37 @@ impl LintReport {
             .map(|(c, _)| *c)
     }
 
+    /// The lint-soundness gate (`lint-check` jobs and
+    /// `tests/lint_soundness.rs`): how this report contradicts the
+    /// dynamic `outcome` of the same program under the same profile, or
+    /// `None` if it does not. A `MustUb` run must stop with UB or a trap
+    /// of the predicted class, a `Clean` one must not safety-stop, and a
+    /// definite prediction must be the outcome's label.
+    #[must_use]
+    pub fn soundness_violation(&self, outcome: &Outcome) -> Option<String> {
+        let dynamic_class = match outcome {
+            Outcome::Ub { ub, .. } => Some(class_of_ub(*ub)),
+            Outcome::Trap { kind, .. } => Some(class_of_trap(*kind)),
+            _ => None,
+        };
+        let label = outcome.label();
+        match (self.overall(), self.must_class()) {
+            (Verdict::MustUb, Some(predicted)) if dynamic_class != Some(predicted) => {
+                return Some(format!("MustUb({predicted}) but dynamic outcome is {label}"));
+            }
+            (Verdict::Clean, _) if outcome.is_safety_stop() => {
+                return Some(format!("Clean but dynamic outcome is a safety stop: {label}"));
+            }
+            _ => {}
+        }
+        match (&self.mode, &self.predicted) {
+            (LintMode::Definite, Some(pred)) if *pred != label => Some(format!(
+                "definite analysis predicted {pred} but dynamic outcome is {label}"
+            )),
+            _ => None,
+        }
+    }
+
     /// Documented process exit code: 0 = clean, 3 = may-UB, 4 = must-UB.
     #[must_use]
     pub fn exit_code(&self) -> i32 {

@@ -3,25 +3,14 @@
 //! The interesting artifact of a multi-profile comparison (paper Appendix A)
 //! is *where* behaviours part ways, not just the final outcomes. Two
 //! profiles rarely produce byte-identical traces though — their layout
-//! policies place allocations at different addresses — so the diff engine
-//! supports a [`DiffMode::Normalized`] comparison that rewrites every
-//! address into *(allocation ordinal, offset)* coordinates before
-//! comparing, making streams from different layouts alignable. The first
-//! event whose normalized form differs is reported with a window of
-//! preceding context from each side.
+//! policies place allocations at different addresses — so [`diff`]
+//! compares events in *normalized* coordinates: a [`Normalizer`] per stream
+//! rewrites every address into *(allocation ordinal, offset)* as the events
+//! go by, making streams from different layouts alignable. The first event
+//! whose normalized form differs is reported with a window of preceding
+//! context from the left stream.
 
 use crate::event::MemEvent;
-
-/// How to compare two events.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DiffMode {
-    /// Compare events verbatim (same profile / same layout).
-    Exact,
-    /// Rewrite addresses into allocation-relative coordinates first, so
-    /// traces from different layout policies align (cross-profile diffing).
-    #[default]
-    Normalized,
-}
 
 /// The first point where two event streams disagree.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -170,41 +159,30 @@ impl Normalizer {
             }
         }
     }
-
-    /// Normalize a whole stream.
-    #[must_use]
-    pub fn norm_stream(events: &[MemEvent]) -> Vec<MemEvent> {
-        let mut n = Normalizer::new();
-        events.iter().map(|ev| n.norm_event(ev)).collect()
-    }
 }
 
-/// Find the first divergence between two event streams; `None` if they
-/// agree (under `mode`) for their full common shape.
+/// Find the first divergence between two event streams in normalized
+/// coordinates; `None` if they agree over their full common shape. Each
+/// stream is normalized on the fly by a [`Normalizer`] of its own, so
+/// neither is copied; the reported events and context are the raw ones.
 #[must_use]
-pub fn diff(
-    left: &[MemEvent],
-    right: &[MemEvent],
-    mode: DiffMode,
-    context: usize,
-) -> Option<TraceDiff> {
-    let (l, r): (Vec<MemEvent>, Vec<MemEvent>) = match mode {
-        DiffMode::Exact => (left.to_vec(), right.to_vec()),
-        DiffMode::Normalized => (Normalizer::norm_stream(left), Normalizer::norm_stream(right)),
-    };
-    let common = l.len().min(r.len());
-    let mismatch = (0..common).find(|&i| l[i] != r[i]);
-    let idx = match mismatch {
+pub fn diff(left: &[MemEvent], right: &[MemEvent], context: usize) -> Option<TraceDiff> {
+    let (mut nl, mut nr) = (Normalizer::new(), Normalizer::new());
+    let mismatch = left
+        .iter()
+        .zip(right)
+        .position(|(l, r)| nl.norm_event(l) != nr.norm_event(r));
+    let index = match mismatch {
         Some(i) => i,
-        None if l.len() != r.len() => common,
+        None if left.len() != right.len() => left.len().min(right.len()),
         None => return None,
     };
-    let start = idx.saturating_sub(context);
+    let start = index.saturating_sub(context);
     Some(TraceDiff {
-        index: idx,
-        left: left.get(idx).cloned(),
-        right: right.get(idx).cloned(),
-        context: left[start..idx].to_vec(),
+        index,
+        left: left.get(index).cloned(),
+        right: right.get(index).cloned(),
+        context: left[start..index].to_vec(),
     })
 }
 
@@ -254,7 +232,7 @@ pub fn render_profile_diffs(runs: &[(String, Vec<MemEvent>)]) -> String {
         "── trace diff (reference: {ref_name}, normalized addresses) ──"
     );
     for (name, events) in &runs[1..] {
-        match diff(ref_events, events, DiffMode::Normalized, 3) {
+        match diff(ref_events, events, 3) {
             None => {
                 let _ = writeln!(out, "{name}: no divergence ({} events)", events.len());
             }
@@ -289,18 +267,15 @@ mod tests {
     #[test]
     fn identical_streams_have_no_diff() {
         let a = vec![alloc(1, 0x1000, 8), store(0x1004), MemEvent::Exit(0)];
-        assert_eq!(diff(&a, &a, DiffMode::Exact, 2), None);
-        assert_eq!(diff(&a, &a, DiffMode::Normalized, 2), None);
+        assert_eq!(diff(&a, &a, 2), None);
     }
 
     #[test]
-    fn exact_mode_sees_layout_differences() {
+    fn layout_differences_align() {
+        // Different raw addresses, same ordinal and offset.
         let a = vec![alloc(1, 0x1000, 8), store(0x1004)];
         let b = vec![alloc(1, 0x2000, 8), store(0x2004)];
-        let d = diff(&a, &b, DiffMode::Exact, 4).expect("differs");
-        assert_eq!(d.index, 0);
-        // Normalized mode aligns them: same ordinal, same offset.
-        assert_eq!(diff(&a, &b, DiffMode::Normalized, 4), None);
+        assert_eq!(diff(&a, &b, 4), None);
     }
 
     #[test]
@@ -309,7 +284,7 @@ mod tests {
         // offset — a genuine semantic divergence.
         let a = vec![alloc(1, 0x1000, 8), store(0x1004)];
         let b = vec![alloc(1, 0x2000, 8), store(0x2000)];
-        let d = diff(&a, &b, DiffMode::Normalized, 4).expect("differs");
+        let d = diff(&a, &b, 4).expect("differs");
         assert_eq!(d.index, 1);
         assert_eq!(d.left, Some(store(0x1004)));
         assert_eq!(d.right, Some(store(0x2000)));
@@ -320,7 +295,7 @@ mod tests {
     fn length_mismatch_is_a_divergence() {
         let a = vec![store(0x1000), MemEvent::Exit(0)];
         let b = vec![store(0x1000)];
-        let d = diff(&a, &b, DiffMode::Exact, 1).expect("differs");
+        let d = diff(&a, &b, 1).expect("differs");
         assert_eq!(d.index, 1);
         assert_eq!(d.left, Some(MemEvent::Exit(0)));
         assert_eq!(d.right, None);
@@ -350,7 +325,7 @@ mod tests {
                 dynamic: true,
             },
         ];
-        assert_eq!(diff(&a, &b, DiffMode::Normalized, 2), None);
+        assert_eq!(diff(&a, &b, 2), None);
     }
 
     #[test]
@@ -358,7 +333,7 @@ mod tests {
         let a: Vec<MemEvent> = (0..10).map(|i| store(0x1000 + i * 4)).collect();
         let mut b = a.clone();
         b[9] = store(0x9999);
-        let d = diff(&a, &b, DiffMode::Exact, 3).expect("differs");
+        let d = diff(&a, &b, 3).expect("differs");
         assert_eq!(d.index, 9);
         assert_eq!(d.context.len(), 3);
         assert_eq!(d.context[0], store(0x1000 + 6 * 4));

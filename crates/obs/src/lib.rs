@@ -40,7 +40,7 @@ pub mod render;
 pub mod sink;
 
 pub use diag::{render_diagnostics_json, render_diagnostics_text, DiagSeverity, Diagnostic};
-pub use diff::{diff, render_diff, render_profile_diffs, DiffMode, Normalizer, TraceDiff};
+pub use diff::{diff, render_diff, render_profile_diffs, Normalizer, TraceDiff};
 pub use event::{
     AllocClass, EventKind, MemEvent, Name, TagClearReason, EVENT_KINDS, TAG_CLEAR_REASONS,
 };

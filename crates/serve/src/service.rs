@@ -29,10 +29,9 @@ use std::thread;
 use std::time::Instant;
 
 use cheri_cap::Capability;
-use cheri_core::{Engine, Interp, Outcome, RunResult};
-use cheri_lint::{class_of_trap, class_of_ub, lint_program_with, LintMode, LintReport, Verdict};
+use cheri_core::{Engine, Interp, Outcome};
+use cheri_lint::lint_program_with;
 use cheri_mem::{CheriMemory, MemEvent};
-use cheri_obs::DiffMode;
 
 use crate::cache::ProgramCache;
 use crate::job::{stats_line, JobOutput, JobSpec, Mode, ProfileOutcome};
@@ -44,87 +43,6 @@ pub(crate) fn outcome_string(o: &Outcome) -> String {
         Outcome::Error(m) => format!("error: {m}"),
         other => other.label(),
     }
-}
-
-/// The engine-equivalence predicate of `tests/engine_differential.rs`,
-/// condensed to a one-line summary for the `engine-diff` job mode.
-/// `None` means the engines agree.
-pub(crate) fn engine_disagreement(
-    tr: &RunResult,
-    tree_events: &[MemEvent],
-    br: &RunResult,
-    byte_events: &[MemEvent],
-) -> Option<String> {
-    if tr.outcome.is_step_limit() && br.outcome.is_step_limit() {
-        // Step budgets are counted per-node vs per-instruction; both
-        // hitting the limit is agreement.
-        return None;
-    }
-    let (tl, bl) = (tr.outcome.label(), br.outcome.label());
-    if tl != bl {
-        return Some(format!("outcome tree={tl} bytecode={bl}"));
-    }
-    if tr.stdout != br.stdout || tr.stderr != br.stderr {
-        return Some("output differs between engines".to_string());
-    }
-    if tr.mem_stats != br.mem_stats {
-        return Some("memory statistics differ between engines".to_string());
-    }
-    if cheri_obs::diff(tree_events, byte_events, DiffMode::Normalized, 1).is_some()
-        || tree_events != byte_events
-    {
-        let at = tree_events
-            .iter()
-            .zip(byte_events)
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| tree_events.len().min(byte_events.len()));
-        return Some(format!(
-            "event stream differs at #{at} (tree {} vs bytecode {} events)",
-            tree_events.len(),
-            byte_events.len(),
-        ));
-    }
-    None
-}
-
-/// The lint-soundness predicate of `tests/lint_soundness.rs`, condensed
-/// to a one-line summary for the `lint-check` job mode. `None` means the
-/// gate holds.
-fn lint_violation(report: &LintReport, outcome: &Outcome) -> Option<String> {
-    let dynamic_class = match outcome {
-        Outcome::Ub { ub, .. } => Some(class_of_ub(*ub)),
-        Outcome::Trap { kind, .. } => Some(class_of_trap(*kind)),
-        _ => None,
-    };
-    match report.overall() {
-        Verdict::MustUb => {
-            let predicted = report.must_class().expect("MustUb without class");
-            if dynamic_class != Some(predicted) {
-                return Some(format!(
-                    "MustUb({predicted}) but dynamic outcome is {}",
-                    outcome.label()
-                ));
-            }
-        }
-        Verdict::Clean => {
-            if outcome.is_safety_stop() {
-                return Some(format!(
-                    "Clean but dynamic outcome is a safety stop: {}",
-                    outcome.label()
-                ));
-            }
-        }
-        Verdict::MayUb => {}
-    }
-    if let (LintMode::Definite, Some(pred)) = (&report.mode, &report.predicted) {
-        if *pred != outcome.label() {
-            return Some(format!(
-                "definite analysis predicted {pred} but dynamic outcome is {}",
-                outcome.label()
-            ));
-        }
-    }
-    None
 }
 
 /// Execute one job against `cache`, reusing (and updating) the worker's
@@ -216,8 +134,7 @@ pub fn execute_job<C: Capability>(
                     .with_recycled_memory(mem);
                 let (br, byte_events, mem) = byte.run_with_events_recycling();
                 *arena = Some(mem);
-                let outcome = match engine_disagreement(&tr, &tree_events, &br, &byte_events)
-                {
+                let outcome = match tr.engine_disagreement(&tree_events, &br, &byte_events) {
                     Some(d) => format!("engine-divergence: {d}"),
                     None => outcome_string(&br.outcome),
                 };
@@ -240,7 +157,7 @@ pub fn execute_job<C: Capability>(
                 let (r, mem) = interp.run_recycling();
                 *arena = Some(mem);
                 let report = lint_program_with::<C>(&unit.tast, p);
-                let outcome = match lint_violation(&report, &r.outcome) {
+                let outcome = match report.soundness_violation(&r.outcome) {
                     Some(m) => format!("lint-unsound: {m}"),
                     None => outcome_string(&r.outcome),
                 };

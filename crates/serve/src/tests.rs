@@ -12,7 +12,7 @@ use crate::cache::{CompileKey, ProgramCache};
 use crate::job::{
     fast_variant, parse_job_line, profiles_from_spec, JobOutput, JobSpec, Mode, ProfileOutcome,
 };
-use crate::service::{engine_disagreement, execute_job, outcome_string, run_batch, Service};
+use crate::service::{execute_job, outcome_string, run_batch, Service};
 
 fn job(id: &str, src: &str, profiles: Vec<Profile>, mode: Mode) -> JobSpec {
     JobSpec {
@@ -286,7 +286,7 @@ fn engine_diff_accepts_two_step_limited_runs() {
     let tree = result(limited(), "...", 30);
     let vm = result(limited(), "..", 20);
     let tree_events = [MemEvent::Store { addr: 16, size: 4 }];
-    assert_eq!(engine_disagreement(&tree, &tree_events, &vm, &[]), None);
+    assert_eq!(tree.engine_disagreement(&tree_events, &vm, &[]), None);
 
     // The job passes its gate and does not fail the batch.
     let job = JobOutput {
@@ -308,9 +308,9 @@ fn engine_diff_accepts_two_step_limited_runs() {
     assert!(!job.has_error(), "{}", job.render());
 
     let exited = result(Outcome::Exit(0), "..", 20);
-    assert!(engine_disagreement(&tree, &tree_events, &exited, &[]).is_some());
+    assert!(tree.engine_disagreement(&tree_events, &exited, &[]).is_some());
     let other_error = result(Outcome::Error("call depth exceeded".into()), "..", 20);
-    assert!(engine_disagreement(&tree, &tree_events, &other_error, &[]).is_some());
+    assert!(tree.engine_disagreement(&tree_events, &other_error, &[]).is_some());
 }
 
 #[test]

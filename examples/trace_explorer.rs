@@ -15,7 +15,7 @@
 
 use cheri_c::core::{run_traced, Profile};
 use cheri_c::lint::{lint, LintMode};
-use cheri_c::obs::{diff, render, render_diff, DiffMode};
+use cheri_c::obs::{diff, render, render_diff};
 
 /// The §3.1 one-past write: UB to the reference semantics, a capability
 /// bounds trap on emulated hardware — the streams agree event-for-event
@@ -77,7 +77,7 @@ fn explore(title: &str, src: &str, left: &Profile, right: &Profile) {
         revs.len(),
         static_verdict(src, right)
     );
-    match diff(&levs, &revs, DiffMode::Normalized, 3) {
+    match diff(&levs, &revs, 3) {
         None => println!("  no divergence: the normalized event streams are identical\n"),
         Some(d) => {
             // The diff reports raw (un-normalized) events; render them with

@@ -8,7 +8,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 use cheri_c::core::{compile_for, run_with_engine, Engine, Interp, Outcome, Profile};
-use cheri_c::lint::{lint_with, LintMode, LintReport};
+use cheri_c::lint::{lint_with, LintMode};
 use cheri_c::serve::{self, profile_by_name, Service, PROFILE_NAMES};
 use cheri_cap::{Capability, CheriotCap, MorelloCap};
 use cheri_mem::{MemEvent, MemStats, TagClearReason};
@@ -25,6 +25,14 @@ enum TraceFormat {
     Bin,
 }
 
+/// The capability model (`--arch`); `main` picks the `Capability` type
+/// from it once.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Arch {
+    Morello,
+    Cheriot,
+}
+
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum LintFormat {
     Text,
@@ -34,7 +42,7 @@ enum LintFormat {
 struct Options {
     file: Option<String>,
     profile: String,
-    arch: String,
+    arch: Arch,
     all: bool,
     trace: bool,
     trace_format: TraceFormat,
@@ -128,7 +136,7 @@ fn parse_args() -> Result<Options, String> {
     let mut o = Options {
         file: None,
         profile: "cerberus".into(),
-        arch: "morello".into(),
+        arch: Arch::Morello,
         all: false,
         trace: false,
         trace_format: TraceFormat::Text,
@@ -153,7 +161,18 @@ fn parse_args() -> Result<Options, String> {
             "--profile" | "-p" => {
                 o.profile = args.next().ok_or("--profile needs a value")?;
             }
-            "--arch" => o.arch = args.next().ok_or("--arch needs a value")?,
+            "--arch" => {
+                let v = args.next().ok_or("--arch needs a value")?;
+                o.arch = match v.as_str() {
+                    "morello" => Arch::Morello,
+                    "cheriot" => Arch::Cheriot,
+                    other => {
+                        return Err(format!(
+                            "unknown arch {other} (expected morello or cheriot)"
+                        ))
+                    }
+                };
+            }
             "--all" => o.all = true,
             "--trace" => o.trace = true,
             "--trace-format" => {
@@ -423,17 +442,13 @@ fn run_service_mode<C: Capability + Send + 'static>(opts: &Options) -> ExitCode 
 /// Run the static analyzer over every selected profile and print the
 /// reports. Exit code is the worst verdict across profiles: 0 clean,
 /// 3 may-UB, 4 must-UB (2 on front-end errors).
-fn run_lint(src: &str, profiles: &[Profile], opts: &Options) -> ExitCode {
+fn run_lint<C: Capability>(src: &str, profiles: &[Profile], opts: &Options) -> ExitCode {
     let mut worst = 0u8;
     for p in profiles {
         if profiles.len() > 1 {
             println!("── {} ──", p.name);
         }
-        let report: Result<LintReport, String> = match opts.arch.as_str() {
-            "cheriot" => lint_with::<CheriotCap>(src, p),
-            _ => lint_with::<MorelloCap>(src, p),
-        };
-        match report {
+        match lint_with::<C>(src, p) {
             Ok(r) => {
                 match opts.lint_format {
                     LintFormat::Text => print!("{}", r.render_text()),
@@ -457,12 +472,8 @@ fn run_lint(src: &str, profiles: &[Profile], opts: &Options) -> ExitCode {
 /// form the bytecode engine actually executes. With `--fast` a third
 /// stage follows: the register-promoted + peephole-optimised form the
 /// fast mode executes (`tests/golden/ir/*.fast.ir`).
-fn emit_ir(src: &str, profile: &Profile, opts: &Options) -> ExitCode {
-    let prog = match opts.arch.as_str() {
-        "cheriot" => compile_for::<CheriotCap>(src, profile),
-        _ => compile_for::<MorelloCap>(src, profile),
-    };
-    match prog {
+fn emit_ir<C: Capability>(src: &str, profile: &Profile, opts: &Options) -> ExitCode {
+    match compile_for::<C>(src, profile) {
         Ok(p) => {
             println!(";; raw (as lowered)");
             print!("{}", cheri_c::core::ir::lower(&p).render());
@@ -486,12 +497,8 @@ fn emit_ir(src: &str, profile: &Profile, opts: &Options) -> ExitCode {
 /// proved never-addressed, `may escape.kept` (with the why-not reasons)
 /// for locals that stay in memory. Rendered through the shared
 /// `cheri-obs` diagnostic vocabulary, text or JSON (`--escape-format`).
-fn emit_escape(src: &str, profile: &Profile, opts: &Options) -> ExitCode {
-    let prog = match opts.arch.as_str() {
-        "cheriot" => compile_for::<CheriotCap>(src, profile),
-        _ => compile_for::<MorelloCap>(src, profile),
-    };
-    match prog {
+fn emit_escape<C: Capability>(src: &str, profile: &Profile, opts: &Options) -> ExitCode {
+    match compile_for::<C>(src, profile) {
         Ok(p) => {
             let report = cheri_c::core::ir::escape::analyze_program(&cheri_c::core::ir::lower(&p));
             let diags = cheri_c::escape_diagnostics(&report);
@@ -537,11 +544,16 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
+    match opts.arch {
+        Arch::Morello => run::<MorelloCap>(&opts),
+        Arch::Cheriot => run::<CheriotCap>(&opts),
+    }
+}
+
+/// Everything after argument parsing, under the capability model `C`.
+fn run<C: Capability + Send + 'static>(opts: &Options) -> ExitCode {
     if opts.serve || opts.batch.is_some() {
-        return match opts.arch.as_str() {
-            "cheriot" => run_service_mode::<CheriotCap>(&opts),
-            _ => run_service_mode::<MorelloCap>(&opts),
-        };
+        return run_service_mode::<C>(opts);
     }
     let Some(file) = &opts.file else {
         eprintln!("error: no input file (try --help)");
@@ -576,13 +588,13 @@ fn main() -> ExitCode {
         }
     }
     if opts.lint {
-        return run_lint(&src, &profiles, &opts);
+        return run_lint::<C>(&src, &profiles, opts);
     }
     if opts.emit_ir {
-        return emit_ir(&src, &profiles[0], &opts);
+        return emit_ir::<C>(&src, &profiles[0], opts);
     }
     if opts.emit_escape {
-        return emit_escape(&src, &profiles[0], &opts);
+        return emit_escape::<C>(&src, &profiles[0], opts);
     }
     let mut last = Outcome::Exit(0);
     let mut runs: Vec<(String, Vec<MemEvent>)> = Vec::new();
@@ -590,17 +602,10 @@ fn main() -> ExitCode {
         if profiles.len() > 1 {
             println!("── {} ──", p.name);
         }
-        let (outcome, events) = match opts.arch.as_str() {
-            "cheriot" => exec::<CheriotCap>(&src, p, &opts),
-            _ => exec::<MorelloCap>(&src, p, &opts),
-        };
+        let (outcome, events) = exec::<C>(&src, p, opts);
         last = outcome;
         if profiles.len() > 1 {
-            let verdict = match opts.arch.as_str() {
-                "cheriot" => lint_summary::<CheriotCap>(&src, p),
-                _ => lint_summary::<MorelloCap>(&src, p),
-            };
-            println!("→ {last}   [lint: {verdict}]");
+            println!("→ {last}   [lint: {}]", lint_summary::<C>(&src, p));
         }
         if opts.trace_diff {
             if let Some(events) = events {

@@ -27,61 +27,39 @@ use std::fmt::Write as _;
 
 use cheri_bench::progen::{generate_traced, shrink_program};
 use cheri_c::core::{run_traced_with_engine, Engine, Profile};
-use cheri_mem::MemEvent;
-use cheri_obs::DiffMode;
 use cheri_testsuite::all_tests;
 
 mod ops;
 
-/// Compare one program under one profile; `None` means the engines agree.
+/// Compare one program under one profile by the gate's predicate
+/// ([`RunResult::engine_disagreement`](cheri_c::core::RunResult::engine_disagreement));
+/// `None` means the engines agree. A disagreement comes with the outputs
+/// and statistics that differ, and with the first event where the
+/// streams part, in normalized coordinates if they part there too.
 fn disagreement(src: &str, profile: &Profile) -> Option<String> {
     let (tr, tree_events) = run_traced_with_engine(src, profile, Engine::Tree);
     let (br, byte_events) = run_traced_with_engine(src, profile, Engine::Bytecode);
-    if tr.outcome.is_step_limit() && br.outcome.is_step_limit() {
-        // Step budgets are counted differently (per node vs per
-        // instruction); both hitting the limit is agreement.
-        return None;
-    }
-    let (tl, bl) = (tr.outcome.label(), br.outcome.label());
-    if tl != bl {
-        return Some(format!("outcome: tree={tl} bytecode={bl}"));
-    }
+    let mut msg = tr.engine_disagreement(&tree_events, &br, &byte_events)?;
     if tr.stdout != br.stdout || tr.stderr != br.stderr {
-        return Some(format!(
-            "output: tree=({:?},{:?}) bytecode=({:?},{:?})",
+        let _ = write!(
+            msg,
+            "\noutput: tree=({:?},{:?}) bytecode=({:?},{:?})",
             tr.stdout, tr.stderr, br.stdout, br.stderr
-        ));
+        );
     }
     if tr.mem_stats != br.mem_stats {
-        return Some(format!(
-            "mem stats: tree={:?} bytecode={:?}",
-            tr.mem_stats, br.mem_stats
-        ));
+        let _ = write!(msg, "\nmem stats: tree={:?} bytecode={:?}", tr.mem_stats, br.mem_stats);
     }
-    if let Some(d) = cheri_obs::diff(&tree_events, &byte_events, DiffMode::Normalized, 3) {
-        return Some(format!(
-            "event stream (tree {} vs bytecode {} events):\n{}",
-            tree_events.len(),
-            byte_events.len(),
-            cheri_obs::render_diff(&d)
-        ));
+    if let Some(d) = cheri_obs::diff(&tree_events, &byte_events, 3) {
+        let _ = write!(msg, "\nnormalized events: {}", cheri_obs::render_diff(&d));
+    } else if let Some(at) = tree_events.iter().zip(&byte_events).position(|(a, b)| a != b) {
+        let _ = write!(
+            msg,
+            "\nraw events at #{at}: tree={:?} bytecode={:?}",
+            tree_events[at], byte_events[at]
+        );
     }
-    // Normalized diffing abstracts addresses; since both engines share
-    // the allocator the raw streams must match exactly too.
-    if tree_events != byte_events {
-        let at = tree_events
-            .iter()
-            .zip(&byte_events)
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| tree_events.len().min(byte_events.len()));
-        let show = |ev: Option<&MemEvent>| ev.map_or_else(|| "<end>".to_string(), |e| format!("{e:?}"));
-        return Some(format!(
-            "raw event stream differs at #{at}: tree={} bytecode={}",
-            show(tree_events.get(at)),
-            show(byte_events.get(at)),
-        ));
-    }
-    None
+    Some(msg)
 }
 
 fn seeds() -> u64 {

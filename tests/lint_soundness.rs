@@ -29,57 +29,24 @@ use cheri_bench::progen::{generate_traced, shrink_program};
 use cheri_core::profile::Profile;
 use cheri_core::report::Outcome;
 use cheri_core::run;
-use cheri_lint::{class_of_trap, class_of_ub, lint, LintMode, UbClass, Verdict};
+use cheri_lint::{class_of_trap, class_of_ub, lint, LintMode, Verdict};
 use cheri_testsuite::all_tests;
 
-fn dynamic_class(o: &Outcome) -> Option<UbClass> {
-    match o {
-        Outcome::Ub { ub, .. } => Some(class_of_ub(*ub)),
-        Outcome::Trap { kind, .. } => Some(class_of_trap(*kind)),
-        _ => None,
-    }
-}
+mod ops;
 
-/// Check one program under one profile; `None` means the gate holds.
+/// Check one program under one profile by the gate's predicate
+/// ([`LintReport::soundness_violation`](cheri_lint::LintReport::soundness_violation));
+/// `None` means the gate holds.
 fn disagreement(src: &str, profile: &Profile) -> Option<String> {
-    let dynamic = run(src, profile);
-    let outcome = &dynamic.outcome;
-    let report = match lint(src, profile) {
-        Ok(r) => r,
-        Err(e) => return Some(format!("lint rejected what run accepted: {e}")),
-    };
-    match report.overall() {
-        Verdict::MustUb => {
-            let predicted_class = report.must_class().expect("MustUb without class");
-            match dynamic_class(outcome) {
-                Some(d) if d == predicted_class => {}
-                other => {
-                    return Some(format!(
-                        "MustUb({predicted_class}) but dynamic outcome is {} (class {other:?})",
-                        outcome.label()
-                    ))
-                }
-            }
-        }
-        Verdict::Clean => {
-            if outcome.is_safety_stop() {
-                return Some(format!(
-                    "Clean but dynamic outcome is a safety stop: {}",
-                    outcome.label()
-                ));
-            }
-        }
-        Verdict::MayUb => {}
+    let outcome = run(src, profile).outcome;
+    match lint(src, profile) {
+        Ok(report) => report.soundness_violation(&outcome).map(|msg| match outcome {
+            Outcome::Ub { ub, .. } => format!("{msg} (dynamic class {})", class_of_ub(ub)),
+            Outcome::Trap { kind, .. } => format!("{msg} (dynamic class {})", class_of_trap(kind)),
+            _ => msg,
+        }),
+        Err(e) => Some(format!("lint rejected what run accepted: {e}")),
     }
-    if let (LintMode::Definite, Some(pred)) = (&report.mode, &report.predicted) {
-        if *pred != outcome.label() {
-            return Some(format!(
-                "definite analysis predicted {pred} but dynamic outcome is {}",
-                outcome.label()
-            ));
-        }
-    }
-    None
 }
 
 fn seeds() -> u64 {
@@ -177,18 +144,24 @@ fn corpus_soundness_gate() {
     );
 }
 
-/// Every Table-1 test whose dynamic outcome is a safety stop must be
-/// flagged (`MustUb` of the right class, or `MayUb`) — no `Clean`
-/// misclassification — and definite predictions must match the dynamic
-/// label exactly.
+/// Every Table-1 test and operation program (`tests/ops/`) whose
+/// dynamic outcome is a safety stop must be flagged (`MustUb` of the
+/// right class, or `MayUb`) — no `Clean` misclassification — and definite
+/// predictions must match the dynamic label exactly.
 #[test]
 fn table1_lint_agrees() {
     let profiles = Profile::all_compared();
     let mut failures: Vec<String> = Vec::new();
-    for t in all_tests() {
+    let ops = ops::programs();
+    let table1 = all_tests();
+    let programs = table1
+        .iter()
+        .map(|t| (t.id, t.source))
+        .chain(ops.iter().map(|(name, src)| (name.as_str(), src.as_str())));
+    for (id, src) in programs {
         for profile in &profiles {
-            if let Some(msg) = disagreement(t.source, profile) {
-                failures.push(format!("{} under {}: {msg}", t.id, profile.name));
+            if let Some(msg) = disagreement(src, profile) {
+                failures.push(format!("{id} under {}: {msg}", profile.name));
             }
         }
     }

@@ -1,11 +1,13 @@
 //! The operation programs: the `*.c` files next to this module, small
 //! programs over the C operations whose one body both engines and both
 //! VM forms share (`Interp` in `crates/core/src/interp.rs`): casts and
-//! f32 rounding, integer and floating compound assignment, `++`/`--`,
-//! pointer arithmetic and comparison, indirect calls and string
-//! initialisers. Neither the progen corpus nor Table 1 has a float, so
-//! these are the differential gates' only float inputs. Each program
-//! stops at its first UB, so each UB case has a program of its own.
+//! f32 rounding, integer `*` (signed overflow, unsigned wrap), integer
+//! and floating compound assignment, `++`/`--`, pointer arithmetic and
+//! comparison, indirect calls and string initialisers. The engine,
+//! fast-mode and lint-soundness gates run them all. Neither the progen
+//! corpus nor Table 1 has a float, so these are the gates' only float
+//! inputs. Each program stops at its first UB, so each UB case has a
+//! program of its own.
 
 /// Every operation program as `(file name, source)`, sorted by name.
 pub fn programs() -> Vec<(String, String)> {
