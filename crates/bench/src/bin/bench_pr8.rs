@@ -96,8 +96,7 @@ int main(void) {
 
 type Mem = CheriMemory<MorelloCap>;
 
-/// The `memory_model` scalar workload: MEM_OPS 4-byte stores, then loads
-/// (identical to `bench_pr3`'s, flat store).
+/// The `memory_model` scalar workload: MEM_OPS 4-byte stores, then loads.
 fn store_load_workload(cfg: MemConfig) -> i128 {
     let mut mem = Mem::new(cfg);
     let arr = mem

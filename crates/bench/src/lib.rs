@@ -1,12 +1,16 @@
 //! Benchmark and experiment harness for the CHERI C semantics
 //! reconstruction.
 //!
-//! Binaries (each regenerates one artefact of the paper's evaluation):
+//! Binaries that regenerate an artefact of the paper's evaluation:
 //!
 //! * `table1_tests` — Table 1 and the §5 compliance summary;
 //! * `fig1_layout` — Figure 1 (the Morello capability bit-field layout);
 //! * `appendix_a` — the Appendix A multi-implementation comparison;
-//! * `run_c` — debug driver: run a C file under a named profile.
+//! * `oracle_fuzz` — §7's test-oracle fuzzing over the `progen` corpus.
+//!
+//! `corpus_manifest` writes that corpus out as `cheri-c --batch`
+//! manifests, and `bench_pr7`–`bench_pr10` are wall-clock perf gates, each
+//! writing a `BENCH_pr*.json` record.
 //!
 //! Criterion benches (`cargo bench`) characterise the reconstruction:
 //! capability encode/decode and representability checks, memory-model

@@ -51,6 +51,31 @@ pub enum BinOp {
 }
 
 impl BinOp {
+    /// The operator as C spells it.
+    #[must_use]
+    pub fn symbol(self) -> &'static str {
+        match self {
+            BinOp::Add => "+",
+            BinOp::Sub => "-",
+            BinOp::Mul => "*",
+            BinOp::Div => "/",
+            BinOp::Rem => "%",
+            BinOp::And => "&",
+            BinOp::Or => "|",
+            BinOp::Xor => "^",
+            BinOp::Shl => "<<",
+            BinOp::Shr => ">>",
+            BinOp::Eq => "==",
+            BinOp::Ne => "!=",
+            BinOp::Lt => "<",
+            BinOp::Le => "<=",
+            BinOp::Gt => ">",
+            BinOp::Ge => ">=",
+            BinOp::LogAnd => "&&",
+            BinOp::LogOr => "||",
+        }
+    }
+
     /// Is this a comparison operator (result type `int`)?
     #[must_use]
     pub fn is_comparison(self) -> bool {

@@ -408,9 +408,10 @@ impl Lexer<'_> {
             Tok::StrLit(String::from_utf8_lossy(&s).into_owned())
         } else {
             let rest = &self.src[self.i..];
+            // Comparing the first byte first skips most entries cheaply.
             let p = PUNCTS
                 .iter()
-                .find(|p| rest.starts_with(p.as_bytes()))
+                .find(|p| p.as_bytes()[0] == c && rest.starts_with(p.as_bytes()))
                 .copied();
             match p {
                 Some(p) => {

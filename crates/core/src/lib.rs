@@ -34,7 +34,6 @@ pub mod ir;
 pub mod lex;
 pub mod opt;
 pub mod parse;
-pub mod pretty;
 pub mod profile;
 pub mod report;
 pub mod tast;

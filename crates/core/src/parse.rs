@@ -14,7 +14,6 @@ use std::fmt;
 
 use crate::ast::*;
 use crate::lex::{lex, LexError, Pos, Spanned, Tok};
-use crate::pretty::bin_op_str;
 use crate::types::{IntTy, StructId, TargetLayout, Ty, TypeTable};
 
 /// Parse error.
@@ -618,7 +617,7 @@ impl Parser {
                 let a = self.const_eval_i128(a)?;
                 let b = self.const_eval_i128(b)?;
                 op.fold(a, b)
-                    .ok_or_else(|| unfoldable(format!("{a} {} {b}", bin_op_str(*op))))?
+                    .ok_or_else(|| unfoldable(format!("{a} {} {b}", op.symbol())))?
             }
             _ => {
                 return Err(ParseError {

@@ -1319,6 +1319,7 @@ fn types_without_a_size_are_front_end_errors() {
         "int main(void) { void *a[2]; a[0][0]; return 0; }",
         "int main(void) { int (*a)[]; a++; return 0; }",
         "int g(void) { return 0; }\nint main(void) { g + 1; return 0; }",
+        "int main(void) { int (*f)(void) = main; return (int)sizeof(*f); }",
     ] {
         match crate::front_end(src, 16) {
             Err(e) => assert!(
@@ -1326,6 +1327,37 @@ fn types_without_a_size_are_front_end_errors() {
                     && e.contains("has no size"),
                 "{src}: {e}"
             ),
+            Ok(_) => panic!("{src}: accepted"),
+        }
+    }
+}
+
+/// A file-scope object declared more than once is one object (C11
+/// 6.9.2): tentative definitions and `extern` declarations name the
+/// object the first declaration made, whose initialiser may come later.
+/// Two initialisers or two types for one name are front-end errors.
+#[test]
+fn a_global_declared_twice_is_one_object() {
+    use crate::{run_with_engine, Engine, MorelloCap};
+    for (src, want) in [
+        ("int x = 5;\nint x;\nint main(void) { return x; }", "exit(5)"),
+        ("extern int y;\nint y = 7;\nint main(void) { return y; }", "exit(7)"),
+        ("int q;\nint main(void) { return q + 3; }\nint q = 4;", "exit(7)"),
+    ] {
+        for engine in [Engine::Tree, Engine::Bytecode] {
+            let r = run_with_engine::<MorelloCap>(src, &Profile::cerberus(), engine);
+            assert_eq!(r.outcome.label(), want, "{engine:?}: {src}");
+            // `main`, the global, `stderr` and `stdout`.
+            assert_eq!(r.mem_stats.allocations, 4, "{engine:?}: {src}");
+        }
+    }
+    for (src, want) in [
+        ("int z = 1;\nint z = 2;\nint main(void) { return z; }", "redefinition of `z`"),
+        ("int w;\nlong w;\nint main(void) { return 0; }", "conflicting types for `w`"),
+        ("int v;\nconst int v = 1;\nint main(void) { return 0; }", "conflicting types for `v`"),
+    ] {
+        match crate::front_end(src, 16) {
+            Err(e) => assert!(e.contains(want), "{src}: {e}"),
             Ok(_) => panic!("{src}: accepted"),
         }
     }

@@ -164,7 +164,8 @@ impl Checker {
 
     fn program(&mut self, prog: ast::Program, static_locals: u32) -> TResult<TProgram> {
         // First pass: record signatures and global types so forward
-        // references work. A redeclared global names its last declaration.
+        // references work. A file-scope object declared again is the
+        // object its first declaration made (C11 6.9.2), at the same type.
         for item in &prog.items {
             match item {
                 Item::Func(f) => {
@@ -186,9 +187,17 @@ impl Checker {
                 }
                 Item::Global(g) => {
                     let ty = self.complete_decl_ty(&g.ty, g.init.as_ref(), g.pos)?;
-                    let id = GlobalId(self.static_base);
-                    self.static_base += 1;
-                    self.globals.insert(g.name.clone(), (TExprKind::LvGlobal(id), ty));
+                    match self.globals.get(&g.name) {
+                        Some((_, first)) if *first != ty => {
+                            return err(g.pos, format!("conflicting types for `{}`", g.name))
+                        }
+                        Some(_) => {}
+                        None => {
+                            let id = GlobalId(self.static_base);
+                            self.static_base += 1;
+                            self.globals.insert(g.name.clone(), (TExprKind::LvGlobal(id), ty));
+                        }
+                    }
                 }
             }
         }
@@ -203,24 +212,43 @@ impl Checker {
                 streams.push(stream);
             }
         }
-        let mut globals = Vec::new();
+        let mut globals: Vec<TGlobal> = Vec::new();
         let mut funcs = HashMap::new();
         for item in prog.items {
             match item {
                 Item::Global(g) => {
-                    let ty = self.globals[&g.name].1.clone();
+                    let (kind, ty) = self.globals[&g.name].clone();
                     let init = match g.init {
                         Some(init) => Some(self.init(&ty, init, g.pos)?),
                         None => None,
                     };
-                    globals.push(TGlobal {
-                        name: g.name,
-                        ty,
-                        is_const: g.is_const,
-                        init,
-                        pos: g.pos,
-                        func: None,
-                    });
+                    // First declarations arrive in `GlobalId` order, so a
+                    // name whose id is already in `globals` is redeclared.
+                    let first = match kind {
+                        TExprKind::LvGlobal(id) if (id.0 as usize) < globals.len() => {
+                            &mut globals[id.0 as usize]
+                        }
+                        _ => {
+                            globals.push(TGlobal {
+                                name: g.name,
+                                ty,
+                                is_const: g.is_const,
+                                init,
+                                pos: g.pos,
+                                func: None,
+                            });
+                            continue;
+                        }
+                    };
+                    if first.is_const != g.is_const {
+                        return err(g.pos, format!("conflicting types for `{}`", g.name));
+                    }
+                    if init.is_some() {
+                        if first.init.is_some() {
+                            return err(g.pos, format!("redefinition of `{}`", g.name));
+                        }
+                        first.init = init;
+                    }
                 }
                 Item::Func(f) => {
                     if let Some(body) = f.body {
@@ -542,7 +570,9 @@ impl Checker {
                     kind: TExprKind::Decay(Box::new(te)),
                 }
             }
-            (Ty::Func { .. }, _) => te, // function designators stay; calls/decay handle them
+            // `*f` designates the function `f` points to; its value is `f`.
+            (Ty::Func { .. }, true) => self.decay_func(te),
+            (Ty::Func { .. }, false) => te, // function designators stay; calls/decay handle them
             (_, true) => TExpr {
                 ty: te.ty.clone(),
                 pos,
@@ -556,7 +586,8 @@ impl Checker {
     fn lvalue(&mut self, e: Expr) -> TResult<TExpr> {
         let pos = e.pos;
         let te = self.expr(e)?;
-        if !te.is_lvalue() {
+        // A function designator such as `*f` names no object.
+        if !te.is_lvalue() || matches!(te.ty, Ty::Func { .. }) {
             return err(pos, "expected an lvalue");
         }
         Ok(te)
@@ -759,15 +790,14 @@ impl Checker {
             ExprKind::Deref(p) => {
                 let p = self.rvalue(*p)?;
                 match p.ty.clone() {
-                    Ty::Ptr { pointee, .. } => match *pointee {
-                        Ty::Func { .. } => Ok(p), // (*f) on function pointers
-                        t => Ok(TExpr {
-                            ty: t,
-                            kind: TExprKind::LvDeref(Box::new(p)),
-                            pos,
-                            from_noncap: false,
-                        }),
-                    },
+                    // Through a function pointer this is a function
+                    // designator, so `sizeof` sees the function type.
+                    Ty::Ptr { pointee, .. } => Ok(TExpr {
+                        ty: *pointee,
+                        kind: TExprKind::LvDeref(Box::new(p)),
+                        pos,
+                        from_noncap: false,
+                    }),
                     Ty::Func { .. } => Ok(p),
                     t => err(pos, format!("cannot dereference value of type {t}")),
                 }
@@ -843,6 +873,9 @@ impl Checker {
     }
 
     fn decay_func(&mut self, f: TExpr) -> TExpr {
+        if let TExprKind::LvDeref(p) = f.kind {
+            return *p; // `*f` decays back to `f`
+        }
         let pos = f.pos;
         let ty = Ty::ptr(f.ty.clone());
         TExpr {

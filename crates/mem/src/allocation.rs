@@ -5,8 +5,11 @@
 //! *exposed* by having a pointer to it cast to an integer or its
 //! representation examined (PNVI-*ae*, §2.3).
 
+use cheri_cap::GhostState;
+use cheri_obs::Name;
+
 use crate::absbyte::AbsByte;
-use crate::capmeta::CapSlotBits;
+use crate::capmeta::{CapSlotBits, SlotMeta, TagInvalidation};
 use crate::AllocId;
 
 /// How an allocation was created.
@@ -56,8 +59,9 @@ pub struct Allocation {
     pub exposed: bool,
     /// Read-only (`const`-qualified object or inherently read-only kind).
     pub readonly: bool,
-    /// Diagnostic name (variable name or `"malloc"`).
-    pub prefix: String,
+    /// Diagnostic name (variable name or `"malloc"`), held inline like an
+    /// event's, so naming an object costs no host allocation.
+    pub prefix: Name,
     /// The allocation's part of `B`: one [`AbsByte`] per *reserved* byte,
     /// padding included, so the hardware-emulation profiles can read stale
     /// and padding bytes through a capability whose bounds cover them.
@@ -97,13 +101,6 @@ impl Allocation {
         !self.readonly && !self.kind.inherently_readonly()
     }
 
-    /// One-past-the-end address of the *reserved* footprint (requested size
-    /// plus representability padding).
-    #[must_use]
-    pub fn reserved_end(&self) -> u64 {
-        self.base.wrapping_add(self.reserved_size)
-    }
-
     /// Slot index of the capability-aligned address `addr`, if
     /// the `cap_bytes`-sized footprint at `addr` lies inside the reserved
     /// footprint.
@@ -113,6 +110,44 @@ impl Allocation {
         }
         let k = ((addr - self.first_slot) / cap_bytes) as usize;
         (k < self.slots.len()).then_some(k)
+    }
+
+    /// Invalidate this allocation's capability slots at addresses in
+    /// `[lo, hi)` after a non-capability write (§4.3), returning how many
+    /// were tagged or had a ghost bit set.
+    pub(crate) fn invalidate_slots(
+        &mut self,
+        lo: u64,
+        hi: u64,
+        cap_bytes: u64,
+        mode: TagInvalidation,
+    ) -> usize {
+        let n_slots = self.slots.len() as u64;
+        if n_slots == 0 || hi <= self.first_slot {
+            return 0;
+        }
+        // Slot `k` sits at `first_slot + k * cap_bytes`.
+        let k_lo = lo.saturating_sub(self.first_slot).div_ceil(cap_bytes);
+        let k_hi = (hi - self.first_slot).div_ceil(cap_bytes).min(n_slots);
+        let mut affected = 0;
+        for k in k_lo as usize..k_hi as usize {
+            let m = self.slots.get(k);
+            if m.tag || !m.ghost.is_clean() {
+                affected += 1;
+                let new = match mode {
+                    TagInvalidation::Ghost => SlotMeta {
+                        tag: m.tag,
+                        ghost: GhostState {
+                            tag_unspecified: true,
+                            bounds_unspecified: m.ghost.bounds_unspecified,
+                        },
+                    },
+                    TagInvalidation::Clear => SlotMeta::default(),
+                };
+                self.slots.set(k, new);
+            }
+        }
+        affected
     }
 
     /// Number of capability-aligned slots fully contained in

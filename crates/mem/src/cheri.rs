@@ -21,7 +21,6 @@
 use std::collections::BTreeMap;
 
 use cheri_cap::{Capability, GhostState, Perms};
-use cheri_obs::sink::EventSink;
 
 /// Largest scalar access (bytes) served from a stack buffer on the
 /// load/store hot path; covers every capability representation
@@ -35,6 +34,7 @@ use cheri_obs::{
 use crate::absbyte::{recover_provenance, AbsByte};
 use crate::allocation::{AllocKind, Allocation};
 use crate::capmeta::{CapMeta, CapSlotBits, SlotMeta, TagInvalidation};
+use crate::index::{Footprint, Index};
 use crate::layout::AddressLayout;
 use crate::provenance::{AllocId, IotaId, IotaState, Provenance};
 use crate::ub::{MemError, MemResult, TrapKind, Ub};
@@ -189,25 +189,25 @@ struct Step {
 }
 
 /// The one walk over the interval index: `[addr, addr + n)` as allocation
-/// segments and gaps, in address order, at one binary search per step. It
-/// borrows only the index, so its caller may write the allocation buffers
-/// and the spill it visits.
+/// segments and gaps, in address order, at one lookup per step. A gap
+/// ends at the next allocation of any region. It borrows only the index,
+/// so its caller may write the allocation buffers and the spill it
+/// visits.
 #[inline]
-fn walk(index: &[(u64, u64, AllocId)], addr: u64, n: usize) -> impl Iterator<Item = Step> + '_ {
+fn walk(index: &Index, addr: u64, n: usize) -> impl Iterator<Item = Step> + '_ {
     let end = addr + n as u64;
     let mut cur = addr;
     std::iter::from_fn(move || {
         if cur >= end {
             return None;
         }
-        let i = index.partition_point(|e| e.0 <= cur);
-        let (stop, alloc) = match i.checked_sub(1).map(|j| index[j]) {
+        let (stop, alloc) = match index.find(cur) {
             // Allocation IDs index `allocations` at `id - 1`.
-            Some((base, top, id)) if cur < top => (
-                top.min(end),
-                Some(((id.0 - 1) as usize, (cur - base) as usize)),
+            Some(f) => (
+                f.end.min(end),
+                Some(((f.id.0 - 1) as usize, (cur - f.base) as usize)),
             ),
-            _ => (index.get(i).map_or(end, |e| e.0.min(end)), None),
+            None => (index.next_base(cur).map_or(end, |b| b.min(end)), None),
         };
         let step = Step {
             at: (cur - addr) as usize,
@@ -317,12 +317,11 @@ pub struct CheriMemory<C: Capability> {
     next_alloc: u64,
     iotas: BTreeMap<IotaId, IotaState>,
     next_iota: u64,
-    /// Sorted interval index over *reserved* allocation footprints:
-    /// `(base, base + reserved_size, id)`, ordered by `base`. Footprints are
-    /// pairwise disjoint (the bump allocators never reuse addresses), so a
-    /// binary search resolves address → allocation in O(log #allocs). All
-    /// byte and capability-slot traffic is routed through it.
-    index: Vec<(u64, u64, AllocId)>,
+    /// Interval index over *reserved* allocation footprints, one
+    /// append-only run per region (see [`Index`]): a new allocation is a
+    /// push, and a lookup a binary search in one run. All byte and
+    /// capability-slot traffic is routed through it.
+    index: Index,
     /// The bytes of `B` that lie *outside* every allocation's reserved
     /// footprint. Only an unpadded capability reaches them: with
     /// `pad_for_representability` off, CHERI-Concentrate rounds an
@@ -371,7 +370,7 @@ impl<C: Capability> CheriMemory<C> {
             next_alloc: 1,
             iotas: BTreeMap::new(),
             next_iota: 0,
-            index: Vec::new(),
+            index: Index::new(),
             spill: BTreeMap::new(),
             spill_caps: CapMeta::new(),
             stack_ptr: cfg.layout.stack_base,
@@ -449,17 +448,6 @@ impl<C: Capability> CheriMemory<C> {
             Some(v) => std::mem::take(&mut v.events),
             None => Vec::new(),
         }
-    }
-
-    /// Install an arbitrary event sink (replacing any existing one, which
-    /// is returned). See [`cheri_obs::sink`] for the stock sinks.
-    pub fn set_sink(&mut self, sink: Box<dyn EventSink>) -> Option<Box<dyn EventSink>> {
-        self.sink.install(sink)
-    }
-
-    /// Remove and return the installed event sink.
-    pub fn take_sink(&mut self) -> Option<Box<dyn EventSink>> {
-        self.sink.take()
     }
 
     /// Is an event sink installed?
@@ -646,14 +634,20 @@ impl<C: Capability> CheriMemory<C> {
                 alive: true,
                 exposed: false,
                 readonly: readonly || kind.inherently_readonly(),
-                prefix: prefix.to_string(),
+                prefix: Name::new(prefix),
                 buf,
                 slots: CapSlotBits::new(n_slots),
                 first_slot,
             },
         );
-        let pos = self.index.partition_point(|e| e.0 < base);
-        self.index.insert(pos, (base, base + reserved, id));
+        self.index.push(
+            kind,
+            Footprint {
+                base,
+                end: base + reserved,
+                id,
+            },
+        );
         self.stats.allocations += 1;
         self.emit(|| MemEvent::Alloc {
             id: id.0,
@@ -924,9 +918,9 @@ impl<C: Capability> CheriMemory<C> {
     fn lookup_provenance(&mut self, addr: u64) -> Provenance {
         let mut cand = [
             addr.checked_sub(1)
-                .and_then(|a| self.index_pos(a))
-                .map(|i| self.index[i].2),
-            self.index_pos(addr).map(|i| self.index[i].2),
+                .and_then(|a| self.index.find(a))
+                .map(|f| f.id),
+            self.index.find(addr).map(|f| f.id),
         ];
         if cand[0] == cand[1] {
             cand[0] = None;
@@ -1066,19 +1060,12 @@ impl<C: Capability> CheriMemory<C> {
     // reserved footprint, so the walk takes a single allocation step; gaps
     // are reached only through unpadded capabilities (see `spill`).
 
-    /// Interval-index position of the allocation whose *reserved* footprint
-    /// contains `addr`.
-    #[inline]
-    fn index_pos(&self, addr: u64) -> Option<usize> {
-        let i = self.index.partition_point(|e| e.0 <= addr);
-        (i > 0 && addr < self.index[i - 1].1).then(|| i - 1)
-    }
-
     /// The allocation whose reserved footprint contains `addr`.
     #[inline]
     fn alloc_at(&self, addr: u64) -> Option<&Allocation> {
-        self.index_pos(addr)
-            .map(|i| self.alloc_ref(self.index[i].2).expect("indexed allocation"))
+        self.index
+            .find(addr)
+            .map(|f| self.alloc_ref(f.id).expect("indexed allocation"))
     }
 
     /// Read `out.len()` bytes of `B` starting at `addr` into a
@@ -1100,17 +1087,49 @@ impl<C: Capability> CheriMemory<C> {
         }
     }
 
-    /// Write `bytes` into `B` starting at `addr`; `C` is left alone.
-    fn write_bytes(&mut self, addr: u64, bytes: Bytes<'_>) {
+    /// Write `bytes` into `B` starting at `addr`. Without a `reason`, `C`
+    /// is left alone. With one, this is a non-capability write (§4.3):
+    /// the same walk invalidates every capability slot the bytes touch,
+    /// counting affected slots as [`CapMeta::invalidate_range`] does, and
+    /// `reason` attributes the clears in the stats histogram and the
+    /// emitted event.
+    fn write_bytes(&mut self, addr: u64, bytes: Bytes<'_>, reason: Option<TagClearReason>) {
+        let cb = C::CAP_BYTES as u64;
+        let mode = self.cfg.tag_invalidation;
+        let mut affected = 0;
         for s in walk(&self.index, addr, bytes.len()) {
             match s.alloc {
-                Some((a, off)) => bytes.put(s.at, &mut self.allocations[a].buf[off..off + s.len]),
+                Some((a, off)) => {
+                    let a = &mut self.allocations[a];
+                    bytes.put(s.at, &mut a.buf[off..off + s.len]);
+                    if reason.is_some() {
+                        // A slot inside an allocation that the bytes
+                        // overlap lies in one the walk visits.
+                        let lo = (addr + s.at as u64) & !(cb - 1);
+                        let hi = addr + (s.at + s.len) as u64;
+                        affected += a.invalidate_slots(lo, hi, cb, mode);
+                    }
+                }
                 None => {
                     for i in s.at..s.at + s.len {
                         self.spill.insert(addr + i as u64, bytes.get(i));
                     }
                 }
             }
+        }
+        let Some(reason) = reason else { return };
+        if !self.spill_caps.is_empty() {
+            let hi = addr + bytes.len() as u64;
+            affected += self.spill_caps.invalidate_range(addr, hi, cb, mode);
+        }
+        if affected > 0 {
+            self.stats.tag_clears += affected as u64;
+            self.stats.tag_clears_by_reason[reason.code() as usize] += affected as u64;
+            self.emit(|| MemEvent::CapTagClear {
+                addr,
+                count: affected as u64,
+                reason,
+            });
         }
     }
 
@@ -1128,9 +1147,8 @@ impl<C: Capability> CheriMemory<C> {
     /// Record capability-slot metadata at aligned address `addr`.
     fn slot_set(&mut self, addr: u64, meta: SlotMeta) {
         let cb = C::CAP_BYTES as u64;
-        if let Some(i) = self.index_pos(addr) {
-            let id = self.index[i].2;
-            let a = self.alloc_mut(id).expect("indexed allocation");
+        if let Some(f) = self.index.find(addr) {
+            let a = self.alloc_mut(f.id).expect("indexed allocation");
             if let Some(k) = a.slot_index(addr, cb) {
                 a.slots.set(k, meta);
                 return;
@@ -1139,72 +1157,10 @@ impl<C: Capability> CheriMemory<C> {
         self.spill_caps.set(addr, meta);
     }
 
-    /// Invalidate every capability slot whose footprint overlaps `[lo, hi)`
-    /// (§4.3 non-capability write rule), counting affected slots as
-    /// [`CapMeta::invalidate_range`] does. `reason` attributes the clears
-    /// in the stats histogram and the emitted event.
-    fn caps_invalidate(&mut self, lo: u64, hi: u64, reason: TagClearReason) {
-        let cb = C::CAP_BYTES as u64;
-        let mode = self.cfg.tag_invalidation;
-        if hi <= lo {
-            return;
-        }
-        let mut affected = 0;
-        let first = lo & !(cb - 1);
-        let mut pos = self.index.partition_point(|e| e.1 <= first);
-        while pos < self.index.len() && self.index[pos].0 < hi {
-            let id = self.index[pos].2;
-            let a = self.alloc_mut(id).expect("indexed allocation");
-            let n_slots = a.slots.len() as u64;
-            if n_slots > 0 && hi > a.first_slot {
-                // Slot `k` sits at `first_slot + k*cb`; touch those with
-                // address in `[first, hi)`.
-                let k_lo = if first > a.first_slot {
-                    (first - a.first_slot).div_ceil(cb)
-                } else {
-                    0
-                };
-                let k_hi = (hi - a.first_slot).div_ceil(cb).min(n_slots);
-                for k in k_lo..k_hi {
-                    let m = a.slots.get(k as usize);
-                    if m.tag || !m.ghost.is_clean() {
-                        affected += 1;
-                        let new = match mode {
-                            TagInvalidation::Ghost => SlotMeta {
-                                tag: m.tag,
-                                ghost: GhostState {
-                                    tag_unspecified: true,
-                                    bounds_unspecified: m.ghost.bounds_unspecified,
-                                },
-                            },
-                            TagInvalidation::Clear => SlotMeta::default(),
-                        };
-                        a.slots.set(k as usize, new);
-                    }
-                }
-            }
-            pos += 1;
-        }
-        if !self.spill_caps.is_empty() {
-            affected += self.spill_caps.invalidate_range(lo, hi, cb, mode);
-        }
-        if affected > 0 {
-            self.stats.tag_clears += affected as u64;
-            self.stats.tag_clears_by_reason[reason.code() as usize] += affected as u64;
-            self.emit(|| MemEvent::CapTagClear {
-                addr: lo,
-                count: affected as u64,
-                reason,
-            });
-        }
-    }
-
     /// A non-capability write (§4.3): store the bytes, then invalidate
     /// every capability slot they touch.
     fn store_data(&mut self, addr: u64, bytes: Bytes<'_>) {
-        let n = bytes.len() as u64;
-        self.write_bytes(addr, bytes);
-        self.caps_invalidate(addr, addr + n, TagClearReason::NonCapWrite);
+        self.write_bytes(addr, bytes, Some(TagClearReason::NonCapWrite));
         self.stats.stores += 1;
     }
 
@@ -1214,12 +1170,11 @@ impl<C: Capability> CheriMemory<C> {
         bytes.clear();
         bytes.resize(n as usize, AbsByte::UNINIT);
         self.read_bytes_into(src, &mut bytes);
-        self.write_bytes(dst, Bytes::Abs(&bytes));
-        self.scratch = bytes;
         // The copy is a (possibly partial) representation write to the
         // destination: any capability whose slot it touches is invalidated…
+        self.write_bytes(dst, Bytes::Abs(&bytes), Some(TagClearReason::Memcpy));
+        self.scratch = bytes;
         let cb = C::CAP_BYTES as u64;
-        self.caps_invalidate(dst, dst + n, TagClearReason::Memcpy);
         // …and then capability-aligned, fully-copied slots get the source
         // metadata transferred (§3.5: memcpy uses capability-sized accesses
         // where possible, preserving tags).
@@ -1437,7 +1392,7 @@ impl<C: Capability> CheriMemory<C> {
             for (i, o) in abs[..size as usize].iter_mut().enumerate() {
                 *o = AbsByte::pointer(v.prov, (a >> (8 * i)) as u8, i as u8);
             }
-            self.write_bytes(addr, Bytes::Abs(&abs[..size as usize]));
+            self.write_bytes(addr, Bytes::Abs(&abs[..size as usize]), None);
             self.stats.stores += 1;
         }
         Ok(())
@@ -1452,8 +1407,11 @@ impl<C: Capability> CheriMemory<C> {
         for (i, o) in abs[..enc.len()].iter_mut().enumerate() {
             *o = AbsByte::pointer(prov, enc[i], i as u8);
         }
-        self.write_bytes(addr, Bytes::Abs(&abs[..enc.len()]));
-        if addr.is_multiple_of(cb) {
+        let aligned = addr.is_multiple_of(cb);
+        // A misaligned capability store cannot represent the tag.
+        let reason = (!aligned).then_some(TagClearReason::MisalignedStore);
+        self.write_bytes(addr, Bytes::Abs(&abs[..enc.len()]), reason);
+        if aligned {
             self.slot_set(
                 addr,
                 SlotMeta {
@@ -1461,9 +1419,6 @@ impl<C: Capability> CheriMemory<C> {
                     ghost: cap.ghost(),
                 },
             );
-        } else {
-            // Misaligned capability store: the tag cannot be represented.
-            self.caps_invalidate(addr, addr + cb, TagClearReason::MisalignedStore);
         }
         self.stats.stores += 1;
     }
@@ -1733,15 +1688,6 @@ impl<C: Capability> CheriMemory<C> {
     #[must_use]
     pub fn allocation(&self, id: AllocId) -> Option<&Allocation> {
         self.alloc_ref(id)
-    }
-
-    /// Find the live allocation containing `addr`, if any.
-    #[must_use]
-    pub fn find_live(&self, addr: u64) -> Option<&Allocation> {
-        // The reserved footprint is a superset of the requested one, so the
-        // index hit is the only possible candidate.
-        self.alloc_at(addr)
-            .filter(|a| a.alive && addr >= a.base && addr < a.end())
     }
 
     /// Number of tagged capabilities currently in memory.

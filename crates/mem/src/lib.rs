@@ -35,6 +35,7 @@ mod absbyte;
 mod allocation;
 mod capmeta;
 mod cheri;
+mod index;
 mod layout;
 mod provenance;
 mod ub;

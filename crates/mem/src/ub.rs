@@ -45,15 +45,6 @@ impl MemError {
             _ => None,
         }
     }
-
-    /// The trap kind, if this error is a hardware trap.
-    #[must_use]
-    pub fn as_trap(&self) -> Option<TrapKind> {
-        match self {
-            MemError::Trap(k, _) => Some(*k),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for MemError {

@@ -45,4 +45,4 @@ pub use event::{
     AllocClass, EventKind, MemEvent, Name, TagClearReason, EVENT_KINDS, TAG_CLEAR_REASONS,
 };
 pub use kinds::{TrapKind, Ub, ALL_TRAPS, ALL_UBS};
-pub use sink::{CountingSink, EventSink, RingSink, SinkHandle, StreamSink, StringSink, VecSink};
+pub use sink::{EventSink, SinkHandle, StreamSink, VecSink};

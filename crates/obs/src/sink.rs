@@ -2,17 +2,16 @@
 //!
 //! The memory model holds a [`SinkHandle`] — an `Option<Box<dyn EventSink>>`
 //! behind a tiny facade. With no sink installed, emitting is a single branch
-//! on that `Option` and the event-constructing closure is never run, so the
-//! instrumented build costs nothing measurable (pinned by `bench_pr4`).
-//! With a sink installed, construction is zero-allocation for typical events
+//! on that `Option` and the event-constructing closure is never run. With a
+//! sink installed, construction is zero-allocation for typical events
 //! (names inline up to 22 bytes) and the sink decides what to retain:
-//! everything ([`VecSink`]), the last *N* ([`RingSink`]), per-kind counters
-//! ([`CountingSink`]), or a streamed binary trace ([`StreamSink`]).
+//! everything ([`VecSink`]) or nothing beyond a streamed binary trace
+//! ([`StreamSink`]).
 
 use std::any::Any;
 use std::io::{self, Write};
 
-use crate::event::{EventKind, MemEvent, TagClearReason, EVENT_KINDS, TAG_CLEAR_REASONS};
+use crate::event::MemEvent;
 
 /// A consumer of memory events.
 ///
@@ -56,11 +55,6 @@ impl SinkHandle {
     /// Install a sink, returning the previous one if any.
     pub fn install(&mut self, sink: Box<dyn EventSink>) -> Option<Box<dyn EventSink>> {
         self.0.replace(sink)
-    }
-
-    /// Remove and return the installed sink.
-    pub fn take(&mut self) -> Option<Box<dyn EventSink>> {
-        self.0.take()
     }
 
     /// Is a sink installed?
@@ -127,150 +121,6 @@ impl EventSink for VecSink {
     }
 }
 
-/// A fixed-capacity ring buffer keeping the *most recent* events — the
-/// flight-recorder sink for long runs where only the tail matters.
-#[derive(Debug)]
-pub struct RingSink {
-    buf: Vec<MemEvent>,
-    cap: usize,
-    head: usize,
-    /// Number of events that fell off the front.
-    pub dropped: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `cap` events (`cap` ≥ 1).
-    #[must_use]
-    pub fn new(cap: usize) -> RingSink {
-        RingSink {
-            buf: Vec::with_capacity(cap.max(1)),
-            cap: cap.max(1),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    #[must_use]
-    pub fn to_vec(&self) -> Vec<MemEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
-    }
-
-    /// Number of retained events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Is the ring empty?
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl EventSink for RingSink {
-    fn emit(&mut self, ev: &MemEvent) {
-        if self.buf.len() < self.cap {
-            self.buf.push(ev.clone());
-        } else {
-            self.buf[self.head] = ev.clone();
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// The metrics registry: per-kind event counts plus the aggregates that
-/// `MemStats` does not track, without retaining any events.
-#[derive(Default, Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CountingSink {
-    /// Events seen per [`EventKind`], indexed by `EventKind::code()`.
-    pub by_kind: [u64; EVENT_KINDS],
-    /// Capability-slot tag clears per [`TagClearReason`], indexed by
-    /// `TagClearReason::code()`. Counts *slots*, not events.
-    pub tag_clears_by_reason: [u64; TAG_CLEAR_REASONS],
-    /// Total bytes moved by `memcpy` events.
-    pub memcpy_bytes: u64,
-    /// Total events seen.
-    pub total: u64,
-}
-
-impl CountingSink {
-    /// A zeroed registry.
-    #[must_use]
-    pub fn new() -> CountingSink {
-        CountingSink::default()
-    }
-
-    /// Count for one event kind.
-    #[must_use]
-    pub fn count(&self, kind: EventKind) -> u64 {
-        self.by_kind[kind.code() as usize]
-    }
-
-    /// Tag-clear slot count for one reason.
-    #[must_use]
-    pub fn tag_clears(&self, reason: TagClearReason) -> u64 {
-        self.tag_clears_by_reason[reason.code() as usize]
-    }
-}
-
-impl EventSink for CountingSink {
-    fn emit(&mut self, ev: &MemEvent) {
-        self.total += 1;
-        self.by_kind[ev.kind().code() as usize] += 1;
-        match ev {
-            MemEvent::CapTagClear { count, reason, .. } => {
-                self.tag_clears_by_reason[reason.code() as usize] += count;
-            }
-            MemEvent::Memcpy { n, .. } => self.memcpy_bytes += n,
-            _ => {}
-        }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// A sink that eagerly formats each legacy-visible event into a `String` —
-/// this is precisely the allocation behaviour of the pre-`cheri-obs` trace
-/// (`Vec<String>` built with `format!` at every emit site). It exists as
-/// the baseline the `bench_pr4` events/sec comparison beats.
-#[derive(Default, Debug)]
-pub struct StringSink {
-    /// The rendered legacy trace lines.
-    pub lines: Vec<String>,
-}
-
-impl StringSink {
-    /// An empty sink.
-    #[must_use]
-    pub fn new() -> StringSink {
-        StringSink::default()
-    }
-}
-
-impl EventSink for StringSink {
-    fn emit(&mut self, ev: &MemEvent) {
-        if let Some(line) = crate::render::legacy_line(ev) {
-            self.lines.push(line);
-        }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 /// Streams events in the binary trace format to any writer as they happen;
 /// nothing is retained in memory beyond the writer's own buffer.
 pub struct StreamSink<W: Write + 'static> {
@@ -323,7 +173,6 @@ impl<W: Write + 'static> EventSink for StreamSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{AllocClass, Name};
 
     fn ev_load(addr: u64) -> MemEvent {
         MemEvent::Load {
@@ -355,54 +204,6 @@ mod tests {
         let sink = h.downcast_mut::<VecSink>().expect("is VecSink");
         assert_eq!(sink.events.len(), 5);
         assert_eq!(sink.events[3], ev_load(3));
-    }
-
-    #[test]
-    fn ring_sink_keeps_most_recent() {
-        let mut r = RingSink::new(3);
-        for a in 0..7 {
-            r.emit(&ev_load(a));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped, 4);
-        assert_eq!(r.to_vec(), vec![ev_load(4), ev_load(5), ev_load(6)]);
-    }
-
-    #[test]
-    fn counting_sink_counts_by_kind_and_reason() {
-        let mut c = CountingSink::new();
-        c.emit(&ev_load(0));
-        c.emit(&ev_load(4));
-        c.emit(&MemEvent::Memcpy {
-            dst: 0,
-            src: 16,
-            n: 12,
-        });
-        c.emit(&MemEvent::CapTagClear {
-            addr: 0,
-            count: 3,
-            reason: TagClearReason::Memcpy,
-        });
-        assert_eq!(c.count(EventKind::Load), 2);
-        assert_eq!(c.count(EventKind::Memcpy), 1);
-        assert_eq!(c.memcpy_bytes, 12);
-        assert_eq!(c.tag_clears(TagClearReason::Memcpy), 3);
-        assert_eq!(c.tag_clears(TagClearReason::Revoked), 0);
-        assert_eq!(c.total, 4);
-    }
-
-    #[test]
-    fn string_sink_skips_non_legacy_events() {
-        let mut s = StringSink::new();
-        s.emit(&MemEvent::Alloc {
-            id: 1,
-            base: 0x1000,
-            size: 4,
-            kind: AllocClass::Auto,
-            name: Name::new("x"),
-        });
-        s.emit(&MemEvent::Exit(0));
-        assert_eq!(s.lines, vec!["create @1 'x' [0x1000,+4) Auto".to_string()]);
     }
 
     #[test]
