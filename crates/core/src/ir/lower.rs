@@ -7,13 +7,18 @@
 //! own instruction at the exact program point the tree engine performs
 //! it; anything unlowerable becomes [`Inst::Unsupported`] with the tree
 //! engine's message, raised only if reached (lazy-error parity).
+//!
+//! Lowering also records, per slot, the facts the fast mode's promotion
+//! decision reads ([`super::escape`]): each node that takes a local's
+//! address or uses it as an aggregate marks the local as it is lowered.
 
 use std::collections::HashMap;
 
-use crate::tast::{Callee, TExpr, TExprKind, TFunc, TInit, TLocal, TProgram, TStmt};
+use crate::tast::{Callee, LocalId, TExpr, TExprKind, TFunc, TInit, TLocal, TProgram, TStmt};
 use crate::types::{IntTy, Ty};
 
-use super::{FuncId, Inst, IrFunc, IrParam, IrProgram, Reg, StrId, TyId};
+use super::escape::WhyNot;
+use super::{FuncId, Inst, IrFunc, IrParam, IrProgram, LocalFacts, Reg, StrId, TyId};
 
 /// Lower a typechecked program to bytecode. Deterministic: functions are
 /// lowered in sorted-name order, pools in first-intern order.
@@ -84,6 +89,8 @@ struct FnLower<'a> {
     fidx: &'a HashMap<String, u32>,
     /// The function's locals table: slot `i` holds `locals[i]`.
     locals: &'a [TLocal],
+    /// Per slot, what the promotion decision needs ([`IrFunc::locals`]).
+    facts: Vec<LocalFacts>,
     blocks: Vec<Vec<Inst>>,
     cur: usize,
     next_reg: u32,
@@ -103,6 +110,7 @@ fn lower_func(
         pools,
         fidx,
         locals: &f.locals,
+        facts: vec![LocalFacts::default(); f.locals.len()],
         blocks: vec![Vec::new()],
         cur: 0,
         next_reg: 0,
@@ -113,9 +121,14 @@ fn lower_func(
     let mut params = Vec::new();
     for (slot, TLocal { name, ty }) in f.locals[..f.n_params].iter().enumerate() {
         let pretty = name.split('#').next().unwrap_or(name);
+        let name = fl.pools.s(pretty);
+        fl.facts[slot].name = Some(name);
+        if !ty.is_scalar() {
+            fl.facts[slot].why_not.insert(WhyNot::NotScalar);
+        }
         params.push(IrParam {
             slot: slot as u32,
-            name: fl.pools.s(pretty),
+            name,
             ty: fl.pools.ty(ty),
             size: prog.types.size_of(ty),
             align: prog.types.align_of(ty),
@@ -134,6 +147,7 @@ fn lower_func(
         n_regs: fl.max_reg,
         code,
         block_pc,
+        locals: fl.facts,
         promoted: Vec::new(),
     }
 }
@@ -207,6 +221,19 @@ impl FnLower<'_> {
         self.reg()
     }
 
+    /// Record why the local `l` must stay in memory.
+    fn keep(&mut self, l: LocalId, why: WhyNot) {
+        self.facts[l.0 as usize].why_not.insert(why);
+    }
+
+    /// Record `why` against the local whose address `e` computes, if it
+    /// computes one: the node `e` feeds refines `addr-taken`.
+    fn addr_feeds(&mut self, e: &TExpr, why: WhyNot) {
+        if let Some(l) = addressed_local(e) {
+            self.keep(l, why);
+        }
+    }
+
     // ── Statements ──────────────────────────────────────────────────────
 
     #[allow(clippy::too_many_lines)]
@@ -220,7 +247,17 @@ impl FnLower<'_> {
                 let align = self.prog.types.align_of(ty);
                 let pretty = name.split('#').next().unwrap_or(name);
                 let pretty = self.pools.s(pretty);
+                self.facts[local.0 as usize].name = Some(pretty);
                 let zero = matches!(init, Some(TInit::List(_) | TInit::Str(_)));
+                if zero {
+                    self.keep(*local, WhyNot::NotScalar);
+                }
+                if !matches!(init, Some(TInit::Scalar(_))) {
+                    self.keep(*local, WhyNot::NoInitialiser);
+                }
+                if *is_const {
+                    self.keep(*local, WhyNot::ConstQualified);
+                }
                 let loc = self.reg();
                 self.emit(Inst::AllocLocal { dst: loc, name: pretty, size, align, zero });
                 if let Some(init) = init {
@@ -370,15 +407,19 @@ impl FnLower<'_> {
                 }
                 None => self.emit(Inst::RetVoid),
             },
-            // Flow semantics outside a loop/switch: the enclosing
-            // function returns as if it fell off the end.
+            // The type checker rejects a `break` outside a loop or `switch`
+            // and a `continue` outside a loop.
             TStmt::Break => match self.brk.last().copied() {
                 Some(t) => self.emit(Inst::Jump { target: t }),
-                None => self.emit(Inst::RetFall),
+                None => {
+                    self.unsupported("`break` outside a loop or `switch`");
+                }
             },
             TStmt::Continue => match self.cont.last().copied() {
                 Some(t) => self.emit(Inst::Jump { target: t }),
-                None => self.emit(Inst::RetFall),
+                None => {
+                    self.unsupported("`continue` outside a loop");
+                }
             },
             TStmt::OptMemcpy { dst, src, n } => {
                 let d = self.expr(dst);
@@ -394,6 +435,7 @@ impl FnLower<'_> {
     fn init(&mut self, loc: Reg, ty: &Ty, init: &TInit) {
         match (ty, init) {
             (_, TInit::Scalar(e)) => {
+                self.addr_feeds(e, WhyNot::StoredToMemory);
                 let v = self.expr(e);
                 let t = self.ty(ty);
                 self.emit(Inst::Store { loc, ty: t, src: v });
@@ -451,6 +493,9 @@ impl FnLower<'_> {
                 d
             }
             TExprKind::LvMember(base, off) => {
+                if let TExprKind::LvLocal(l) = base.kind {
+                    self.keep(l, WhyNot::NotScalar);
+                }
                 let b = self.lvalue(base);
                 let d = self.reg();
                 self.emit(Inst::MemberShift { dst: d, src: b, off: *off });
@@ -490,6 +535,7 @@ impl FnLower<'_> {
             | TExprKind::LvGlobal(_)
             | TExprKind::LvDeref(_)
             | TExprKind::LvMember(..) => {
+                self.addr_feeds(e, WhyNot::AddressTaken);
                 let loc = self.lvalue(e);
                 let t = self.ty(&Ty::ptr(e.ty.clone()));
                 let d = self.reg();
@@ -497,6 +543,11 @@ impl FnLower<'_> {
                 d
             }
             TExprKind::Load(lv) => {
+                if let TExprKind::LvLocal(l) = lv.kind {
+                    if !lv.ty.is_scalar() {
+                        self.keep(l, WhyNot::NotScalar);
+                    }
+                }
                 let loc = self.lvalue(lv);
                 let t = self.ty(&lv.ty);
                 let d = self.reg();
@@ -504,6 +555,7 @@ impl FnLower<'_> {
                 d
             }
             TExprKind::AddrOf(lv) | TExprKind::Decay(lv) => {
+                self.addr_feeds(e, WhyNot::AddressTaken);
                 let narrow = if matches!(lv.kind, TExprKind::LvMember(..)) {
                     Some(self.size(&lv.ty))
                 } else {
@@ -560,6 +612,7 @@ impl FnLower<'_> {
                 d
             }
             TExprKind::PtrAdd { ptr, idx, elem, neg } => {
+                self.addr_feeds(ptr, WhyNot::CapabilityDerived);
                 let p = self.expr(ptr);
                 let i = self.expr(idx);
                 let t = self.ty(&e.ty);
@@ -575,6 +628,8 @@ impl FnLower<'_> {
                 d
             }
             TExprKind::PtrCmp { op, a, b } => {
+                self.addr_feeds(a, WhyNot::Compared);
+                self.addr_feeds(b, WhyNot::Compared);
                 let ar = self.expr(a);
                 let br = self.expr(b);
                 let d = self.reg();
@@ -586,6 +641,11 @@ impl FnLower<'_> {
                 let loc = self.lvalue(lv);
                 if matches!(lv.ty, Ty::Struct(_) | Ty::Union(_) | Ty::Array(..)) {
                     if let TExprKind::Load(src_lv) = &rhs.kind {
+                        for side in [lv, src_lv] {
+                            if let TExprKind::LvLocal(l) = side.kind {
+                                self.keep(l, WhyNot::NotScalar);
+                            }
+                        }
                         let src = self.lvalue(src_lv);
                         let n = self.size(&lv.ty);
                         self.emit(Inst::MemcpyAgg { dst: loc, src, n });
@@ -596,6 +656,7 @@ impl FnLower<'_> {
                         self.unsupported("aggregate assignment")
                     }
                 } else {
+                    self.addr_feeds(rhs, WhyNot::StoredToMemory);
                     let v = self.expr(rhs);
                     let t = self.ty(&lv.ty);
                     self.emit(Inst::Store { loc, ty: t, src: v });
@@ -677,6 +738,9 @@ impl FnLower<'_> {
                 d
             }
             TExprKind::Call { callee, args } => {
+                for a in args {
+                    self.addr_feeds(a, WhyNot::PassedToCall);
+                }
                 let argr: Vec<Reg> = args.iter().map(|a| self.expr(a)).collect();
                 match callee {
                     Callee::Direct(name) => match self.fidx.get(name) {
@@ -735,6 +799,9 @@ impl FnLower<'_> {
 
     fn cast(&mut self, e: &TExpr, kind: crate::tast::CastKind, arg: &TExpr) -> Reg {
         use crate::tast::CastKind;
+        if kind == CastKind::PtrToInt {
+            self.addr_feeds(arg, WhyNot::CapabilityDerived);
+        }
         let a = self.expr(arg);
         let d = self.reg();
         match kind {
@@ -771,5 +838,18 @@ impl FnLower<'_> {
             }
         }
         d
+    }
+}
+
+/// The local whose address `e` computes directly, if any: `&x`, the decay
+/// of an array `x`, or a bare `x` in value position.
+fn addressed_local(e: &TExpr) -> Option<LocalId> {
+    match &e.kind {
+        TExprKind::LvLocal(l) => Some(*l),
+        TExprKind::AddrOf(lv) | TExprKind::Decay(lv) => match lv.kind {
+            TExprKind::LvLocal(l) => Some(l),
+            _ => None,
+        },
+        _ => None,
     }
 }

@@ -32,6 +32,11 @@
 //!   the tree engine's exact message, preserving its lazy-error semantics;
 //! * frame teardown kills locals in reverse allocation order, innermost
 //!   frame first, even when unwinding an error.
+//!
+//! Lowering also records, per local slot, why the local must stay in
+//! memory ([`IrFunc::locals`]): the facts from which [`escape`] decides
+//! and reports which locals the fast mode promotes to registers
+//! ([`promote`]).
 
 pub mod escape;
 pub mod lower;
@@ -270,8 +275,7 @@ pub enum Inst {
     Ret { src: Reg },
     /// `return;` — yields `void` (even from `main`).
     RetVoid,
-    /// Implicit function end (or `break`/`continue` escaping all loops):
-    /// `main` yields 0, other functions `void`.
+    /// Implicit function end: `main` yields 0, other functions `void`.
     RetFall,
 
     // ── Locals ──────────────────────────────────────────────────────────
@@ -306,6 +310,18 @@ pub struct IrParam {
     pub align: u64,
 }
 
+/// What lowering recorded about one local slot: the facts the fast
+/// mode's promotion decision reads ([`escape`], DESIGN.md §12).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LocalFacts {
+    /// Pretty (unmangled) name, once the slot's parameter or declaration
+    /// is lowered; `None` for a declaration an optimisation pass deleted,
+    /// which gets no decision.
+    pub name: Option<StrId>,
+    /// Why the local must stay in memory; empty when it may be promoted.
+    pub why_not: escape::WhyNotSet,
+}
+
 /// A lowered function: flat, linked code plus block boundaries (kept for
 /// the pretty-printer; jumps hold absolute instruction offsets).
 #[derive(Clone, Debug)]
@@ -325,6 +341,8 @@ pub struct IrFunc {
     pub code: Vec<Inst>,
     /// Starting offset of each basic block (ascending; for rendering).
     pub block_pc: Vec<u32>,
+    /// Per slot, the facts lowering recorded for the promotion decision.
+    pub locals: Vec<LocalFacts>,
     /// Fast mode only: `(slot, reg)` pairs for register-promoted locals
     /// (empty in the default pipeline). The VM consults this to pass
     /// promoted *parameters* in registers; promoted declarations were

@@ -262,7 +262,7 @@ pub(crate) fn successors(code: &[Inst], pc: usize, mut f: impl FnMut(usize)) {
 /// is the set of registers whose current value may still be read on some
 /// path out of `pc` — the condition under which a def at `pc` (or an
 /// intermediate of a fused pair ending at `pc`) is unobservable.
-pub(crate) struct Liveness {
+struct Liveness {
     words: usize,
     /// `live_in` per pc, backward-fixpoint result.
     live_in: Vec<u64>,
@@ -270,7 +270,7 @@ pub(crate) struct Liveness {
 }
 
 impl Liveness {
-    pub(crate) fn compute(func: &IrFunc) -> Liveness {
+    fn compute(func: &IrFunc) -> Liveness {
         Self::fixpoint(func).0
     }
 
@@ -331,13 +331,8 @@ impl Liveness {
         }
     }
 
-    /// Is `r`'s value possibly read on some path *from* `pc` (inclusive)?
-    pub(crate) fn is_live_in(&self, pc: usize, r: Reg) -> bool {
-        self.live_in[pc * self.words + r as usize / 64] >> (r % 64) & 1 != 0
-    }
-
     /// Is `r`'s value possibly read on some path *out of* `pc`?
-    pub(crate) fn live_after(&self, func: &IrFunc, pc: usize, r: Reg) -> bool {
+    fn live_after(&self, func: &IrFunc, pc: usize, r: Reg) -> bool {
         let mut live = false;
         successors(&func.code, pc, |s| {
             if s < self.n {
@@ -639,6 +634,7 @@ mod tests {
                 n_regs,
                 code,
                 block_pc,
+                locals: Vec::new(),
                 promoted: Vec::new(),
             }],
             func_index: std::iter::once(("main".to_string(), 0)).collect(),
@@ -980,11 +976,13 @@ mod tests {
         let (lv, sweeps) = Liveness::fixpoint(f);
         assert_eq!(lv.live_in, round_robin_live_in(f));
         assert_eq!(sweeps, 3);
+        // Four registers: one word per pc.
+        let live_in = |pc: usize, r: u32| lv.live_in[pc] >> r & 1 != 0;
         for pc in [2, 5, 6, 7, 9] {
-            assert!(lv.is_live_in(pc, 0), "r0 dead at pc {pc}");
+            assert!(live_in(pc, 0), "r0 dead at pc {pc}");
         }
         assert!(
-            (0..4).all(|r| !lv.is_live_in(11, r)),
+            (0..4).all(|r| !live_in(11, r)),
             "self-loop has live registers"
         );
     }

@@ -1,10 +1,10 @@
 //! Register promotion: the rewrite half of the fast mode (DESIGN.md §12).
 //!
-//! For every local [`super::escape`] proved never-addressed, this pass
-//! elides the local's entire memory life cycle — `AllocLocal`, the
-//! initialising `Store`, `BindSlot`, every `SlotLoc`, and the frame
-//! kill-list entry — and keeps the value in a fresh virtual register
-//! instead:
+//! For every local whose lowering recorded no reason to stay in memory
+//! ([`super::escape`]), this pass elides the local's entire memory life
+//! cycle — `AllocLocal`, the initialising `Store`, `BindSlot`, every
+//! `SlotLoc`, and the frame kill-list entry — and keeps the value in a
+//! fresh virtual register instead:
 //!
 //! | memory form                  | register form                    |
 //! |------------------------------|----------------------------------|
@@ -21,6 +21,13 @@
 //! value straight into the register instead of allocating a parameter
 //! object.
 //!
+//! Which accesses to rewrite takes one forward walk over the control-flow
+//! graph (`Locations`): it finds, at each instruction, which register
+//! locates which local. A scan in pc order is not enough, because an
+//! assignment or declaration holds its location register across the
+//! blocks of a `?:`, `&&` or `||` operand, and those blocks are laid out
+//! after any block created before them.
+//!
 //! The register forms run the identical `Interp` helpers (conversions,
 //! UB checks, capability derivation) as the memory forms — only the
 //! `load_value`/`store_value` round-trip through `CheriMemory` is gone.
@@ -29,71 +36,65 @@
 //! disappear) and — like any real register allocator — the addresses the
 //! bump allocator hands to the remaining objects. What it must never
 //! change is the outcome, stdout and exit code; `tests/
-//! fast_mode_differential.rs` pins that over the oracle corpus, and the
-//! analysis marking a local as escaping guarantees it is never elided
-//! (a QC property in the same test).
+//! fast_mode_differential.rs` pins that over the oracle corpus, and that
+//! a local the report keeps in memory is never elided.
 //!
-//! The pass is idempotent: a promoted local has no remaining
-//! `AllocLocal`/`BindSlot`/`SlotLoc`, so a second run finds nothing to
-//! promote (the slot is then simply unused).
+//! The pass is idempotent: a slot already in [`super::IrFunc::promoted`]
+//! is not promoted again.
 
-use super::escape::{analyze_func, FuncAnalysis};
-use super::peephole::compact;
+use std::collections::VecDeque;
+
+use super::escape::promotable;
+use super::peephole::{compact, def_of, successors};
 use super::{Inst, IrFunc, IrProgram, Reg};
 
-/// Promote every provably never-addressed scalar local of every function,
-/// in place. Runs on the raw lowering, before the peephole passes.
+/// Promote every never-addressed scalar local of every function, in
+/// place. Runs on the raw lowering, before the peephole passes.
 pub fn promote(ir: &mut IrProgram) {
-    let analyses: Vec<FuncAnalysis> = ir.funcs.iter().map(|f| analyze_func(ir, f)).collect();
-    for (func, analysis) in ir.funcs.iter_mut().zip(analyses) {
-        promote_func(func, &analysis);
+    for func in &mut ir.funcs {
+        promote_func(func);
     }
 }
 
-fn promote_func(func: &mut IrFunc, a: &FuncAnalysis) {
-    // Fresh registers, one per promoted slot, in slot order. Slots already
-    // promoted by an earlier run keep their register: a promoted parameter
-    // still looks promotable on re-analysis (its `IrParam` survives with no
-    // remaining accesses), and re-promoting it would not be idempotent.
+fn promote_func(func: &mut IrFunc) {
+    // Fresh registers, one per promoted slot, in slot order.
     let mut next = func.n_regs;
-    let promo: Vec<(u32, Reg)> = a
-        .decisions
+    let promo: Vec<(u32, Reg)> = func
+        .locals
         .iter()
-        .filter(|d| d.promoted && !func.promoted.iter().any(|&(s, _)| s == d.slot))
-        .map(|d| {
+        .zip(0u32..)
+        .filter(|&(&facts, slot)| {
+            promotable(facts) && !func.promoted.iter().any(|&(s, _)| s == slot)
+        })
+        .map(|(_, slot)| {
             let r = next;
             next += 1;
-            (d.slot, r)
+            (slot, r)
         })
         .collect();
     if promo.is_empty() {
         return;
     }
     let reg_of = |slot: u32| promo.iter().find(|&&(s, _)| s == slot).map(|&(_, r)| r);
+    let locs = Locations::compute(func);
     // The promoted register for the loc operand `r` at `pc`, if `r`
     // locates a promoted slot there.
-    let promoted_loc = |pc: usize, r: Reg| a.slot_at(pc, r).and_then(reg_of);
+    let promoted_loc = |pc: usize, r: Reg| locs.slot_at(pc, r).and_then(reg_of);
 
     let mut keep = vec![true; func.code.len()];
     for (pc, (kept, inst)) in keep.iter_mut().zip(func.code.iter_mut()).enumerate() {
         let new = match &*inst {
             Inst::AllocLocal { .. } => {
-                match a.site_slot.get(&(pc as u32)).copied().and_then(reg_of) {
-                    Some(_) => {
-                        *kept = false;
-                        continue;
-                    }
-                    None => continue,
+                if locs.alloc_slot[pc].and_then(reg_of).is_some() {
+                    *kept = false;
                 }
+                continue;
             }
             Inst::BindSlot { slot, .. } | Inst::SlotLoc { slot, .. } => {
-                match reg_of(*slot) {
-                    Some(_) => {
-                        *kept = false;
-                        continue;
-                    }
-                    None => continue,
+                if reg_of(*slot).is_some() {
+                    *kept = false;
                 }
+                continue;
             }
             Inst::Load { dst, loc, .. } => match promoted_loc(pc, *loc) {
                 Some(r) => Inst::Move { dst: *dst, src: r },
@@ -162,7 +163,7 @@ fn promote_func(func: &mut IrFunc, a: &FuncAnalysis) {
     }
 
     // No surviving instruction may still consume a promoted location: the
-    // escape analysis only promotes locals whose every use is one of the
+    // decision promotes only locals whose every use is one of the
     // rewritten shapes above.
     #[cfg(debug_assertions)]
     for (pc, (kept, inst)) in keep.iter().zip(&func.code).enumerate() {
@@ -183,6 +184,104 @@ fn promote_func(func: &mut IrFunc, a: &FuncAnalysis) {
     func.n_regs = next;
     func.promoted.extend(promo);
     func.promoted.sort_unstable();
+}
+
+/// What a register locates at a program point.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Loc {
+    /// Nothing the rewrite follows (or disagreeing values at a join).
+    Other,
+    /// The object the `AllocLocal` at this pc made, before `BindSlot`
+    /// gives it its slot.
+    Alloc(u32),
+    /// The object bound to this slot.
+    Slot(u32),
+}
+
+/// The forward walk: per reachable pc, what each register locates on
+/// entry, and the slot each reachable `AllocLocal`'s object is bound to.
+struct Locations {
+    n_regs: usize,
+    /// `n_regs` entries per pc; meaningful only where `reached`.
+    at: Vec<Loc>,
+    reached: Vec<bool>,
+    alloc_slot: Vec<Option<u32>>,
+}
+
+impl Locations {
+    fn compute(func: &IrFunc) -> Locations {
+        let n = func.code.len();
+        let nr = func.n_regs as usize;
+        let mut l = Locations {
+            n_regs: nr,
+            at: vec![Loc::Other; n * nr],
+            reached: vec![false; n],
+            alloc_slot: vec![None; n],
+        };
+        if n == 0 {
+            return l;
+        }
+        l.reached[0] = true;
+        let mut work = VecDeque::from([0]);
+        let mut out = vec![Loc::Other; nr];
+        while let Some(pc) = work.pop_front() {
+            out.copy_from_slice(&l.at[pc * nr..(pc + 1) * nr]);
+            match func.code[pc] {
+                Inst::AllocLocal { dst, .. } => out[dst as usize] = Loc::Alloc(pc as u32),
+                Inst::SlotLoc { dst, slot, .. } => out[dst as usize] = Loc::Slot(slot),
+                // A frozen location still locates the same object.
+                Inst::Move { dst, src } | Inst::FreezeLoc { dst, src } => {
+                    out[dst as usize] = out[src as usize];
+                }
+                Inst::BindSlot { slot, src } => {
+                    if let Loc::Alloc(p) = out[src as usize] {
+                        l.alloc_slot[p as usize] = Some(slot);
+                    }
+                }
+                ref inst => {
+                    if let Some(d) = def_of(inst) {
+                        out[d as usize] = Loc::Other;
+                    }
+                }
+            }
+            successors(&func.code, pc, |s| {
+                if s >= n {
+                    return;
+                }
+                let row = &mut l.at[s * nr..(s + 1) * nr];
+                let changed = if l.reached[s] {
+                    let mut any = false;
+                    for (cur, &new) in row.iter_mut().zip(&out) {
+                        if *cur != new && *cur != Loc::Other {
+                            *cur = Loc::Other;
+                            any = true;
+                        }
+                    }
+                    any
+                } else {
+                    row.copy_from_slice(&out);
+                    l.reached[s] = true;
+                    true
+                };
+                if changed {
+                    work.push_back(s);
+                }
+            });
+        }
+        l
+    }
+
+    /// The slot the register `r` locates at `pc`, if any.
+    fn slot_at(&self, pc: usize, r: Reg) -> Option<u32> {
+        if !self.reached[pc] {
+            return None;
+        }
+        match self.at[pc * self.n_regs + r as usize] {
+            Loc::Slot(s) => Some(s),
+            Loc::Alloc(p) => self.alloc_slot[p as usize],
+            Loc::Other => None,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1401,3 +1401,37 @@ fn multiplication_overflow_follows_c_on_every_engine() {
         }
     }
 }
+
+/// `break` needs an enclosing loop or `switch`, and `continue` an
+/// enclosing loop (C11 6.8.6.3p1, 6.8.6.2p1): a stray one is a front-end
+/// error, not a return. A `continue` in a `switch` in a loop continues the
+/// loop, on every engine.
+#[test]
+fn stray_break_and_continue_are_front_end_errors() {
+    use crate::{run_with_engine, Engine, MorelloCap};
+    for (src, want) in [
+        ("int main(void) { break; return 3; }", "`break` outside a loop or `switch`"),
+        (
+            "int main(void) { switch (1) { case 1: continue; } return 3; }",
+            "`continue` outside a loop",
+        ),
+    ] {
+        match crate::front_end(src, 16) {
+            Err(e) => assert!(e.starts_with("type error at ") && e.contains(want), "{src}: {e}"),
+            Ok(_) => panic!("{src}: accepted"),
+        }
+    }
+    let src = "int main(void) { int n = 0;\n\
+               for (int i = 0; i < 4; i++) { switch (i) { case 1: continue; default: n += i; } }\n\
+               return n; }";
+    let mut fast = Profile::cerberus();
+    fast.opt = fast.opt.fast();
+    for (how, p, engine) in [
+        ("tree", Profile::cerberus(), Engine::Tree),
+        ("vm", Profile::cerberus(), Engine::Bytecode),
+        ("fast", fast, Engine::Bytecode),
+    ] {
+        let r = run_with_engine::<MorelloCap>(src, &p, engine);
+        assert_eq!(r.outcome.label(), "exit(5)", "{how}");
+    }
+}

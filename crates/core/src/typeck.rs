@@ -68,6 +68,8 @@ pub fn check(parsed: Parsed) -> TResult<TProgram> {
         locals: Vec::new(),
         static_base: 0,
         static_locals: Vec::new(),
+        loops: 0,
+        breakables: 0,
     };
     ck.program(parsed.program, parsed.static_locals)
 }
@@ -92,6 +94,10 @@ struct Checker {
     static_base: u32,
     /// `static` locals hoisted to static storage (unique names).
     static_locals: Vec<TGlobal>,
+    /// How many loops, and how many loops or `switch`es, enclose the
+    /// statement being checked: `continue` needs a loop, `break` either.
+    loops: u32,
+    breakables: u32,
 }
 
 fn err<T>(pos: Pos, msg: impl Into<String>) -> TResult<T> {
@@ -411,10 +417,10 @@ impl Checker {
             }
             StmtKind::While(c, b) => {
                 let c = self.scalar_test(c)?;
-                TStmt::While(c, Box::new(self.stmt(*b)?))
+                TStmt::While(c, Box::new(self.loop_body(*b)?))
             }
             StmtKind::DoWhile(b, c) => {
-                let b = Box::new(self.stmt(*b)?);
+                let b = Box::new(self.loop_body(*b)?);
                 let c = self.scalar_test(c)?;
                 TStmt::DoWhile(b, c)
             }
@@ -437,7 +443,7 @@ impl Checker {
                     Some(e) => Some(self.expr_any(e)?),
                     None => None,
                 };
-                let body = Box::new(self.stmt(*body)?);
+                let body = Box::new(self.loop_body(*body)?);
                 self.scopes.pop();
                 TStmt::For {
                     init,
@@ -462,9 +468,11 @@ impl Checker {
                         None => None,
                     };
                     self.scopes.push(HashMap::new());
-                    let body = self.block(c.body)?;
+                    self.breakables += 1;
+                    let body = self.block(c.body);
+                    self.breakables -= 1;
                     self.scopes.pop();
-                    tcases.push((v, body));
+                    tcases.push((v, body?));
                 }
                 TStmt::Switch(scrut, tcases)
             }
@@ -479,10 +487,27 @@ impl Checker {
                 };
                 TStmt::Return(e)
             }
+            // C11 6.8.6.3p1 and 6.8.6.2p1.
+            StmtKind::Break if self.breakables == 0 => {
+                return err(pos, "`break` outside a loop or `switch`");
+            }
+            StmtKind::Continue if self.loops == 0 => {
+                return err(pos, "`continue` outside a loop");
+            }
             StmtKind::Break => TStmt::Break,
             StmtKind::Continue => TStmt::Continue,
             StmtKind::Empty => TStmt::Empty,
         })
+    }
+
+    /// Check a loop body, where `break` and `continue` may appear.
+    fn loop_body(&mut self, body: Stmt) -> TResult<TStmt> {
+        self.loops += 1;
+        self.breakables += 1;
+        let body = self.stmt(body);
+        self.loops -= 1;
+        self.breakables -= 1;
+        body
     }
 
     fn init(&mut self, ty: &Ty, init: Init, pos: Pos) -> TResult<TInit> {
@@ -546,6 +571,8 @@ impl Checker {
     fn scalar_test(&mut self, e: Expr) -> TResult<TExpr> {
         let pos = e.pos;
         let te = self.rvalue(e)?;
+        // A function designator tests as a (non-null) pointer.
+        let te = self.decay_func(te);
         if !te.ty.is_scalar() {
             return err(pos, format!("expected scalar condition, got {}", te.ty));
         }
@@ -872,7 +899,12 @@ impl Checker {
         }
     }
 
+    /// A function designator decays to a pointer to the function (C11
+    /// 6.3.2.1p4); any other expression is returned as it is.
     fn decay_func(&mut self, f: TExpr) -> TExpr {
+        if !matches!(f.ty, Ty::Func { .. }) {
+            return f;
+        }
         if let TExprKind::LvDeref(p) = f.kind {
             return *p; // `*f` decays back to `f`
         }
@@ -915,8 +947,8 @@ impl Checker {
         }
         let l = self.rvalue(l)?;
         let r = self.rvalue(r)?;
-        let l = if matches!(l.ty, Ty::Func { .. }) { self.decay_func(l) } else { l };
-        let r = if matches!(r.ty, Ty::Func { .. }) { self.decay_func(r) } else { r };
+        let l = self.decay_func(l);
+        let r = self.decay_func(r);
 
         if op.is_comparison() {
             return self.comparison(op, l, r, pos);
@@ -1130,6 +1162,7 @@ impl Checker {
         let a = self.rvalue(a)?;
         match op {
             UnOp::LogNot => {
+                let a = self.decay_func(a);
                 if !a.ty.is_scalar() {
                     return err(pos, "`!` needs a scalar operand");
                 }
@@ -1338,7 +1371,7 @@ impl Checker {
             } else {
                 // Default argument promotions for variadic positions
                 // (float promotes to double).
-                let ta = if matches!(ta.ty, Ty::Func { .. }) { self.decay_func(ta) } else { ta };
+                let ta = self.decay_func(ta);
                 let ta = if ta.ty == Ty::Float(FloatTy::F32) {
                     self.convert(ta, &Ty::Float(FloatTy::F64), false)?
                 } else {
@@ -1356,7 +1389,7 @@ impl Checker {
         let mut targs = Vec::new();
         for a in args {
             let ta = self.rvalue(a)?;
-            let ta = if matches!(ta.ty, Ty::Func { .. }) { self.decay_func(ta) } else { ta };
+            let ta = self.decay_func(ta);
             targs.push(ta);
         }
         let need = |n: usize| -> TResult<()> {
@@ -1561,7 +1594,7 @@ impl Checker {
         if e.ty == *to {
             return Ok(e);
         }
-        let e = if matches!(e.ty, Ty::Func { .. }) { self.decay_func(e) } else { e };
+        let e = self.decay_func(e);
         if e.ty == *to {
             return Ok(e);
         }

@@ -1,13 +1,15 @@
-//! Golden-file tests for the `--emit-escape` report: the targeted
-//! negative cases of PR 10.
+//! Golden-file tests for the `--emit-escape` report: one targeted case
+//! per reason a local stays in memory.
 //!
-//! Each case takes the address of a scalar local through a different
+//! Four cases take the address of a scalar local through a different
 //! syntactic route — explicit `&x`, array-to-pointer decay, capability
-//! derivation via `(uintptr_t)&x`, and passing `&x` to a call — and the
-//! goldens pin that the escape analysis (a) refuses to promote that
-//! local and (b) reports the *specific* blocking reason, in both the
-//! text and JSON diagnostic renderings. A positive control rides along
-//! so the goldens also pin the promoted shape.
+//! derivation via `(uintptr_t)&x`, passing `&x` to a call — and one
+//! compares two addresses; the others keep a `const` local and a struct
+//! written through its members. The goldens pin that the escape analysis
+//! (a) refuses to promote that local and (b) reports the *specific*
+//! blocking reason, in both the text and JSON diagnostic renderings. A
+//! positive control rides along so the goldens also pin the promoted
+//! shape.
 //!
 //! Beyond the byte-for-byte golden comparison, each case asserts the
 //! expected `escape.kept` line and reason label directly, so a stale
@@ -73,6 +75,44 @@ const CASES: &[(&str, &[MustKeep], &str)] = &[
           int x = 41;
           bump(&x);
           return x;
+        }
+    ",
+    ),
+    // A provenance-aware pointer comparison (§3.6) takes both addresses.
+    (
+        "addr_compared",
+        &[("main::x", "addr-compared"), ("main::y", "addr-compared")],
+        r"
+        int main(void) {
+          int x = 1;
+          int y = 2;
+          return &x == &y;
+        }
+    ",
+    ),
+    // A `const` local's capability is frozen read-only (§3.9), which a
+    // register cannot reproduce.
+    (
+        "const_local",
+        &[("main::c", "const-qualified")],
+        r"
+        int main(void) {
+          const int c = 3;
+          return c + 1;
+        }
+    ",
+    ),
+    // A struct is not one scalar object: a member write shifts into it.
+    (
+        "struct_member",
+        &[("main::s", "not-scalar"), ("main::s", "no-initialiser")],
+        r"
+        struct pair { int a; int b; };
+        int main(void) {
+          struct pair s;
+          s.a = 1;
+          s.b = 2;
+          return s.a + s.b;
         }
     ",
     ),
