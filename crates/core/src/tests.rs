@@ -1435,3 +1435,46 @@ fn stray_break_and_continue_are_front_end_errors() {
         assert_eq!(r.outcome.label(), "exit(5)", "{how}");
     }
 }
+
+/// A root-bounded `cheri_ddc_get()` pointer reaches the top of the
+/// address space: a store and load that end exactly at 2^64 keep their
+/// bytes under every hardware profile, on every engine. Under `cerberus`
+/// the pointer's empty provenance stops the first access.
+#[test]
+fn accesses_that_end_at_the_top_of_the_address_space() {
+    use crate::{run_with_engine, Engine, MorelloCap};
+    let cases = [
+        ("int", "0xFFFFFFFFFFFFFFFCUL", 7),
+        ("int", "0xFFFFFFFFFFFFFF00UL", 7),
+        ("long", "0xFFFFFFFFFFFFFFF8UL", 5),
+    ];
+    let profiles = [
+        Profile::cerberus(),
+        Profile::clang_morello(false),
+        Profile::clang_morello(true),
+        Profile::cheriot(),
+    ];
+    for profile in profiles {
+        let mut fast = profile.clone();
+        fast.opt = fast.opt.fast();
+        for (ty, addr, v) in cases {
+            let src = format!(
+                "int main(void) {{\n  {ty} *p = ({ty} *)cheri_address_set(cheri_ddc_get(), {addr});\n  \
+                 *p = {v};\n  return (int)*p;\n}}"
+            );
+            let want = if profile.mem.abstract_ub {
+                "UB:UB_empty_provenance_access".to_string()
+            } else {
+                format!("exit({v})")
+            };
+            for (how, p, engine) in [
+                ("tree", &profile, Engine::Tree),
+                ("vm", &profile, Engine::Bytecode),
+                ("fast", &fast, Engine::Bytecode),
+            ] {
+                let r = run_with_engine::<MorelloCap>(&src, p, engine);
+                assert_eq!(r.outcome.label(), want, "{} {how}: {src}", profile.name);
+            }
+        }
+    }
+}

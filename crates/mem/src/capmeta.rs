@@ -140,7 +140,8 @@ impl CapSlotBits {
 /// A sparse capability-metadata map, keyed by capability-aligned address.
 /// The memory model keeps in one the slots no allocation's [`CapSlotBits`]
 /// covers: those whose footprint crosses or lies outside every reserved
-/// footprint, reachable only through unpadded capabilities.
+/// footprint, reachable through unpadded capabilities and, under the
+/// hardware profiles, through pointers derived from `cheri_ddc_get()`.
 #[derive(Clone, Debug, Default)]
 pub struct CapMeta {
     slots: BTreeMap<u64, SlotMeta>,

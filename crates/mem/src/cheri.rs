@@ -7,10 +7,13 @@
 //! rendering of the paper's `memM` state-and-error monad.
 //!
 //! `B` and `C` are rendered as one store: a contiguous `Vec<AbsByte>`
-//! buffer plus a packed capability-slot bitset per allocation, addressed
-//! through a sorted interval index over the pairwise disjoint reserved
-//! footprints, and a sparse *spill* for the addresses between footprints
-//! (see [`CheriMemory`]'s `spill` field).
+//! buffer plus a packed capability-slot bitset per allocation, and a
+//! sparse *spill* for the addresses between the pairwise disjoint reserved
+//! footprints (see [`CheriMemory`]'s `spill` field). An access reaches its
+//! allocation through the pointer's provenance, which the access check
+//! resolves anyway; a sorted interval index over the reserved footprints
+//! serves the accesses provenance does not place (see "Byte-level
+//! helpers" below).
 //!
 //! The same type also serves as the *baseline* ISO C PNVI-ae-udi concrete
 //! model (§2.3) when constructed with `capabilities = false`, and as the
@@ -177,6 +180,19 @@ fn alloc_class(kind: AllocKind) -> AllocClass {
     }
 }
 
+/// The position of allocation `id` in `CheriMemory::allocations`: IDs
+/// are dense from 1, so it is `id - 1`.
+#[inline]
+fn pos(id: AllocId) -> usize {
+    (id.0 - 1) as usize
+}
+
+/// Does `a`'s reserved footprint hold `[addr, addr + size)`?
+#[inline]
+fn reserved_holds(a: &Allocation, addr: u64, size: u64) -> bool {
+    addr >= a.base && size <= a.reserved_size && addr - a.base <= a.reserved_size - size
+}
+
 /// One step of a [`walk`]: the `len` bytes from `at` bytes into the walked
 /// range lie in one allocation's buffer, or in a gap between reserved
 /// footprints when `alloc` is `None`. `alloc` is `(i, off)`: position `i`
@@ -192,29 +208,32 @@ struct Step {
 /// segments and gaps, in address order, at one lookup per step. A gap
 /// ends at the next allocation of any region. It borrows only the index,
 /// so its caller may write the allocation buffers and the spill it
-/// visits.
+/// visits. It counts bytes, not addresses: a range may end at 2^64.
 #[inline]
 fn walk(index: &Index, addr: u64, n: usize) -> impl Iterator<Item = Step> + '_ {
-    let end = addr + n as u64;
-    let mut cur = addr;
+    let mut at = 0;
     std::iter::from_fn(move || {
-        if cur >= end {
+        if at >= n {
             return None;
         }
-        let (stop, alloc) = match index.find(cur) {
-            // Allocation IDs index `allocations` at `id - 1`.
+        let cur = addr + at as u64;
+        let left = (n - at) as u64;
+        let (len, alloc) = match index.find(cur) {
             Some(f) => (
-                f.end.min(end),
-                Some(((f.id.0 - 1) as usize, (cur - f.base) as usize)),
+                (f.end - cur).min(left),
+                Some((pos(f.id), (cur - f.base) as usize)),
             ),
-            None => (index.next_base(cur).map_or(end, |b| b.min(end)), None),
+            None => (
+                index.next_base(cur).map_or(left, |b| (b - cur).min(left)),
+                None,
+            ),
         };
         let step = Step {
-            at: (cur - addr) as usize,
-            len: (stop - cur) as usize,
+            at,
+            len: len as usize,
             alloc,
         };
-        cur = stop;
+        at += len as usize;
         Some(step)
     })
 }
@@ -263,6 +282,29 @@ impl Bytes<'_> {
             Bytes::Fill(v, _) => dst.fill(AbsByte::data(v)),
         }
     }
+}
+
+/// Put bytes `at..at + len` of `bytes` into allocation `a`'s buffer at
+/// offset `off`. With `invalidate`, this is a non-capability write
+/// (§4.3): it also invalidates every `cb`-byte capability slot of `a` the
+/// bytes touch, and returns how many of them were tagged or had a ghost
+/// bit set.
+#[inline]
+fn put_segment(
+    a: &mut Allocation,
+    off: usize,
+    bytes: Bytes<'_>,
+    at: usize,
+    len: usize,
+    invalidate: Option<(TagInvalidation, u64)>,
+) -> usize {
+    bytes.put(at, &mut a.buf[off..off + len]);
+    let Some((mode, cb)) = invalidate else {
+        return 0;
+    };
+    let lo = (a.base + off as u64) & !(cb - 1);
+    let hi = a.base + (off + len) as u64;
+    a.invalidate_slots(lo, hi, cb, mode)
 }
 
 /// `memcmp` over two read-back ranges of equal length; see
@@ -319,17 +361,20 @@ pub struct CheriMemory<C: Capability> {
     next_iota: u64,
     /// Interval index over *reserved* allocation footprints, one
     /// append-only run per region (see [`Index`]): a new allocation is a
-    /// push, and a lookup a binary search in one run. All byte and
-    /// capability-slot traffic is routed through it.
+    /// push, and a lookup a binary search in one run. It serves the byte
+    /// and capability-slot traffic that provenance does not place in an
+    /// allocation, and the integer-to-pointer provenance lookup.
     index: Index,
     /// The bytes of `B` that lie *outside* every allocation's reserved
-    /// footprint. Only an unpadded capability reaches them: with
-    /// `pad_for_representability` off, CHERI-Concentrate rounds an
-    /// allocation's bounds up past its footprint (§3.2), and a checked
+    /// footprint. Two kinds of pointer reach them. Under every hardware
+    /// profile, a pointer derived from `cheri_ddc_get()` carries root
+    /// bounds and empty provenance, so it can access any address. And
+    /// with `pad_for_representability` off, CHERI-Concentrate rounds an
+    /// allocation's bounds up past its footprint (§3.2), so a checked
     /// access may land in the gap. The spill keeps `B` total there, so
-    /// what such a store wrote reads back. It stays empty while padding
-    /// is on. An allocation placed over spilled bytes later reads its own
-    /// fresh (uninitialised) buffer instead.
+    /// what such a store wrote reads back. Nothing bounds its size. An
+    /// allocation placed over spilled bytes later reads its own fresh
+    /// (uninitialised) buffer instead.
     spill: BTreeMap<u64, AbsByte>,
     /// The `C` entries for slots whose footprint is not fully inside one
     /// allocation's reserved footprint (reached the same way as `spill`).
@@ -723,7 +768,7 @@ impl<C: Capability> CheriMemory<C> {
         });
         // Field-indexing (not `alloc_mut`) keeps the borrow on
         // `self.allocations` alone so `self.cfg`/`self.spill_caps` stay usable.
-        let alloc = &mut self.allocations[(id.0 - 1) as usize];
+        let alloc = &mut self.allocations[pos(id)];
         alloc.alive = false;
         if self.cfg.abstract_ub {
             // Abstract machine: the contents become indeterminate when the
@@ -807,7 +852,7 @@ impl<C: Capability> CheriMemory<C> {
         // Capabilities stored outside every allocation footprint (spill).
         for slot in self.spill_caps.tagged_addrs() {
             let mut bytes = [AbsByte::UNINIT; SCALAR_BUF];
-            self.read_bytes_into(slot, &mut bytes[..cb]);
+            self.read_bytes_into(None, slot, &mut bytes[..cb]);
             if revokes(&bytes[..cb]) {
                 cleared += 1;
                 self.spill_caps.set(slot, untag(self.spill_caps.get(slot)));
@@ -843,7 +888,9 @@ impl<C: Capability> CheriMemory<C> {
         }
         let new = self.allocate_region(new_size, 16)?;
         let n = old_size.min(new_size);
-        self.copy_bytes_raw(old_base, new.addr(), n);
+        // Both ranges lie inside their allocations' requested footprints.
+        let new_pos = self.allocations.len() - 1;
+        self.copy_bytes_raw(Some(pos(id)), old_base, Some(new_pos), new.addr(), n);
         self.kill(old, true)?;
         Ok(new)
     }
@@ -968,7 +1015,24 @@ impl<C: Capability> CheriMemory<C> {
     /// The full access check: architectural capability checks (tag, ghost
     /// tag, seal, permissions, bounds — the (1†) clauses) followed by the
     /// abstract-machine provenance checks (the (1f)/(1g) clauses).
-    fn check_access(&mut self, p: &PtrVal<C>, size: u64, access: Access) -> MemResult<()> {
+    ///
+    /// On success, returns the position in `allocations` of the allocation
+    /// the access lies in, when the provenance settles it: under the
+    /// abstract profiles, the live allocation just resolved and checked;
+    /// under the hardware profiles, the live allocation a
+    /// [`Provenance::Alloc`] names, if its reserved footprint holds the
+    /// access. Reserved footprints are pairwise disjoint and never reused,
+    /// so that is the allocation the index finds for every byte. `None`
+    /// leaves the bytes to [`walk`]: an empty or unresolved-iota
+    /// provenance, a dead allocation's stale bytes (whatever the index
+    /// holds at those addresses is what a hardware load sees), or a range
+    /// that leaves the named allocation's footprint.
+    fn check_access(
+        &mut self,
+        p: &PtrVal<C>,
+        size: u64,
+        access: Access,
+    ) -> MemResult<Option<usize>> {
         let addr = p.addr();
         if self.cfg.capabilities {
             let c = &p.cap;
@@ -1047,31 +1111,51 @@ impl<C: Capability> CheriMemory<C> {
                     format!("{} ({})", id, a.prefix),
                 ));
             }
+            return Ok(Some(pos(id)));
         }
-        Ok(())
+        Ok(p.prov
+            .alloc_id()
+            .filter(|&id| {
+                self.alloc_ref(id)
+                    .is_some_and(|a| a.alive && reserved_holds(a, addr, size))
+            })
+            .map(pos))
     }
 
     // ── Byte-level helpers (the B and C maps) ────────────────────────────
     //
-    // Every byte access takes the one [`walk`] over the interval index:
-    // each step is a run of bytes inside one allocation's buffer or a gap
-    // between reserved footprints, which the spill serves. With allocations
-    // padded for representability a checked access stays inside one
-    // reserved footprint, so the walk takes a single allocation step; gaps
-    // are reached only through unpadded capabilities (see `spill`).
+    // An access reaches its allocation through the pointer's provenance:
+    // `check_access` returns the position of the allocation it placed the
+    // access in (`alloc` below), and the helpers index that allocation's
+    // buffer and slot bits directly, so a capability access resolves its
+    // allocation once. Debug builds check every such access against the
+    // interval index. Without a position the bytes take the one [`walk`]
+    // over the index: each step is a run of bytes inside one allocation's
+    // buffer or a gap between reserved footprints, which the spill serves.
+    // That serves pointers with empty or unresolved provenance under the
+    // hardware profiles (`cheri_ddc_get()` and integer-to-pointer casts), a
+    // dead allocation's stale bytes, and unpadded bounds (see `spill`).
 
-    /// The allocation whose reserved footprint contains `addr`.
-    #[inline]
-    fn alloc_at(&self, addr: u64) -> Option<&Allocation> {
-        self.index
-            .find(addr)
-            .map(|f| self.alloc_ref(f.id).expect("indexed allocation"))
+    /// Does the index agree that allocation `i` holds the first and the
+    /// last byte of `[addr, addr + len)`? The direct path asserts it in
+    /// debug builds, so every debug test run compares it with the walk.
+    fn index_agrees(&self, i: usize, addr: u64, len: usize) -> bool {
+        let id = self.allocations[i].id;
+        let holds = |b: u64| self.index.find(b).is_some_and(|f| f.id == id);
+        len == 0 || (holds(addr) && holds(addr + (len as u64 - 1)))
     }
 
     /// Read `out.len()` bytes of `B` starting at `addr` into a
     /// caller-provided buffer: the scalar load path passes a stack buffer,
-    /// which keeps `Vec` allocations off the per-access hot path.
-    fn read_bytes_into(&self, addr: u64, out: &mut [AbsByte]) {
+    /// which keeps `Vec` allocations off the per-access hot path. `alloc`
+    /// is the allocation `check_access` placed the bytes in, if any.
+    fn read_bytes_into(&self, alloc: Option<usize>, addr: u64, out: &mut [AbsByte]) {
+        if let Some(i) = alloc {
+            debug_assert!(self.index_agrees(i, addr, out.len()));
+            let off = (addr - self.allocations[i].base) as usize;
+            out.copy_from_slice(&self.allocations[i].buf[off..off + out.len()]);
+            return;
+        }
         for s in walk(&self.index, addr, out.len()) {
             let out = &mut out[s.at..s.at + s.len];
             match s.alloc {
@@ -1079,7 +1163,8 @@ impl<C: Capability> CheriMemory<C> {
                 None => {
                     out.fill(AbsByte::UNINIT);
                     let lo = addr + s.at as u64;
-                    for (k, b) in self.spill.range(lo..lo + s.len as u64) {
+                    // Inclusive: the gap may end at 2^64.
+                    for (k, b) in self.spill.range(lo..=lo + (s.len as u64 - 1)) {
                         out[(k - lo) as usize] = *b;
                     }
                 }
@@ -1087,40 +1172,55 @@ impl<C: Capability> CheriMemory<C> {
         }
     }
 
-    /// Write `bytes` into `B` starting at `addr`. Without a `reason`, `C`
-    /// is left alone. With one, this is a non-capability write (§4.3):
-    /// the same walk invalidates every capability slot the bytes touch,
-    /// counting affected slots as [`CapMeta::invalidate_range`] does, and
-    /// `reason` attributes the clears in the stats histogram and the
-    /// emitted event.
-    fn write_bytes(&mut self, addr: u64, bytes: Bytes<'_>, reason: Option<TagClearReason>) {
+    /// Write `bytes` into `B` starting at `addr`, in the allocation at
+    /// position `alloc` when `check_access` placed them there. Without a
+    /// `reason`, `C` is left alone. With one, this is a non-capability
+    /// write (§4.3): the same pass invalidates every capability slot the
+    /// bytes touch, counting affected slots as
+    /// [`CapMeta::invalidate_range`] does, and `reason` attributes the
+    /// clears in the stats histogram and the emitted event.
+    fn write_bytes(
+        &mut self,
+        alloc: Option<usize>,
+        addr: u64,
+        bytes: Bytes<'_>,
+        reason: Option<TagClearReason>,
+    ) {
+        let n = bytes.len();
         let cb = C::CAP_BYTES as u64;
         let mode = self.cfg.tag_invalidation;
+        let invalidate = reason.map(|_| (mode, cb));
         let mut affected = 0;
-        for s in walk(&self.index, addr, bytes.len()) {
-            match s.alloc {
-                Some((a, off)) => {
-                    let a = &mut self.allocations[a];
-                    bytes.put(s.at, &mut a.buf[off..off + s.len]);
-                    if reason.is_some() {
-                        // A slot inside an allocation that the bytes
-                        // overlap lies in one the walk visits.
-                        let lo = (addr + s.at as u64) & !(cb - 1);
-                        let hi = addr + (s.at + s.len) as u64;
-                        affected += a.invalidate_slots(lo, hi, cb, mode);
+        if let Some(i) = alloc {
+            debug_assert!(self.index_agrees(i, addr, n));
+            let a = &mut self.allocations[i];
+            let off = (addr - a.base) as usize;
+            affected += put_segment(a, off, bytes, 0, n, invalidate);
+        } else {
+            for s in walk(&self.index, addr, n) {
+                match s.alloc {
+                    // A slot inside an allocation that the bytes overlap
+                    // lies in one the walk visits.
+                    Some((a, off)) => {
+                        let a = &mut self.allocations[a];
+                        affected += put_segment(a, off, bytes, s.at, s.len, invalidate);
                     }
-                }
-                None => {
-                    for i in s.at..s.at + s.len {
-                        self.spill.insert(addr + i as u64, bytes.get(i));
+                    None => {
+                        for i in s.at..s.at + s.len {
+                            self.spill.insert(addr + i as u64, bytes.get(i));
+                        }
                     }
                 }
             }
         }
         let Some(reason) = reason else { return };
-        if !self.spill_caps.is_empty() {
-            let hi = addr + bytes.len() as u64;
-            affected += self.spill_caps.invalidate_range(addr, hi, cb, mode);
+        if n > 0 && !self.spill_caps.is_empty() {
+            // From the first slot the bytes touch: a range that ends at
+            // 2^64 saturates to `u64::MAX`, which still lies beyond that
+            // slot's start.
+            let lo = addr & !(cb - 1);
+            let hi = addr.saturating_add(n as u64);
+            affected += self.spill_caps.invalidate_range(lo, hi, cb, mode);
         }
         if affected > 0 {
             self.stats.tag_clears += affected as u64;
@@ -1133,57 +1233,83 @@ impl<C: Capability> CheriMemory<C> {
         }
     }
 
-    /// Capability-slot metadata at aligned address `addr`.
-    fn slot_get(&self, addr: u64) -> SlotMeta {
+    /// Where the `C` entry of the capability-aligned slot at `addr` lives:
+    /// `Some((i, k))` for slot `k` of the allocation at position `i`, or
+    /// `None` for the spill. `alloc` is the allocation `check_access`
+    /// placed the access that covers the slot in; without one, the index
+    /// finds the allocation that holds `addr`.
+    fn slot_at(&self, alloc: Option<usize>, addr: u64) -> Option<(usize, usize)> {
         let cb = C::CAP_BYTES as u64;
-        if let Some(a) = self.alloc_at(addr) {
-            if let Some(k) = a.slot_index(addr, cb) {
-                return a.slots.get(k);
+        let i = match alloc {
+            Some(i) => {
+                debug_assert!(self.index_agrees(i, addr, C::CAP_BYTES));
+                i
             }
-        }
-        self.spill_caps.get(addr)
+            None => pos(self.index.find(addr)?.id),
+        };
+        Some((i, self.allocations[i].slot_index(addr, cb)?))
     }
 
-    /// Record capability-slot metadata at aligned address `addr`.
-    fn slot_set(&mut self, addr: u64, meta: SlotMeta) {
-        let cb = C::CAP_BYTES as u64;
-        if let Some(f) = self.index.find(addr) {
-            let a = self.alloc_mut(f.id).expect("indexed allocation");
-            if let Some(k) = a.slot_index(addr, cb) {
-                a.slots.set(k, meta);
-                return;
-            }
+    /// Capability-slot metadata at aligned address `addr` (see
+    /// [`CheriMemory::slot_at`] for `alloc`).
+    fn slot_get(&self, alloc: Option<usize>, addr: u64) -> SlotMeta {
+        match self.slot_at(alloc, addr) {
+            Some((i, k)) => self.allocations[i].slots.get(k),
+            None => self.spill_caps.get(addr),
         }
-        self.spill_caps.set(addr, meta);
+    }
+
+    /// Record capability-slot metadata at aligned address `addr` (see
+    /// [`CheriMemory::slot_at`] for `alloc`).
+    fn slot_set(&mut self, alloc: Option<usize>, addr: u64, meta: SlotMeta) {
+        match self.slot_at(alloc, addr) {
+            Some((i, k)) => self.allocations[i].slots.set(k, meta),
+            None => self.spill_caps.set(addr, meta),
+        }
     }
 
     /// A non-capability write (§4.3): store the bytes, then invalidate
     /// every capability slot they touch.
-    fn store_data(&mut self, addr: u64, bytes: Bytes<'_>) {
-        self.write_bytes(addr, bytes, Some(TagClearReason::NonCapWrite));
+    fn store_data(&mut self, alloc: Option<usize>, addr: u64, bytes: Bytes<'_>) {
+        self.write_bytes(alloc, addr, bytes, Some(TagClearReason::NonCapWrite));
         self.stats.stores += 1;
     }
 
-    /// Raw byte copy without checks (`memcpy` and `realloc`).
-    fn copy_bytes_raw(&mut self, src: u64, dst: u64, n: u64) {
+    /// Raw byte copy without checks (`memcpy` and `realloc`) of the `n`
+    /// bytes at `src` to `dst`; `src_alloc` and `dst_alloc` place each
+    /// range as `check_access` did.
+    fn copy_bytes_raw(
+        &mut self,
+        src_alloc: Option<usize>,
+        src: u64,
+        dst_alloc: Option<usize>,
+        dst: u64,
+        n: u64,
+    ) {
         let mut bytes = std::mem::take(&mut self.scratch);
         bytes.clear();
         bytes.resize(n as usize, AbsByte::UNINIT);
-        self.read_bytes_into(src, &mut bytes);
+        self.read_bytes_into(src_alloc, src, &mut bytes);
         // The copy is a (possibly partial) representation write to the
         // destination: any capability whose slot it touches is invalidated…
-        self.write_bytes(dst, Bytes::Abs(&bytes), Some(TagClearReason::Memcpy));
+        self.write_bytes(
+            dst_alloc,
+            dst,
+            Bytes::Abs(&bytes),
+            Some(TagClearReason::Memcpy),
+        );
         self.scratch = bytes;
         let cb = C::CAP_BYTES as u64;
         // …and then capability-aligned, fully-copied slots get the source
         // metadata transferred (§3.5: memcpy uses capability-sized accesses
-        // where possible, preserving tags).
+        // where possible, preserving tags). The loop counts offsets, not
+        // addresses: either range may end at 2^64.
         if src % cb == dst % cb {
-            let mut slot = (src + cb - 1) & !(cb - 1);
-            while slot + cb <= src + n {
-                let meta = self.slot_get(slot);
-                self.slot_set(dst + (slot - src), meta);
-                slot += cb;
+            let mut off = src.wrapping_neg() % cb;
+            while off + cb <= n {
+                let meta = self.slot_get(src_alloc, src + off);
+                self.slot_set(dst_alloc, dst + off, meta);
+                off += cb;
             }
         }
     }
@@ -1192,8 +1318,7 @@ impl<C: Capability> CheriMemory<C> {
     /// bytes at an integer type exposes the allocations those bytes point
     /// into (clause (2g) of §4.3).
     fn expose_tainted(&mut self, bytes: &[AbsByte]) {
-        let tainted: Vec<AllocId> = bytes.iter().filter_map(|b| b.prov().alloc_id()).collect();
-        for id in tainted {
+        for id in bytes.iter().filter_map(|b| b.prov().alloc_id()) {
             if let Some(a) = self.alloc_mut(id) {
                 if a.alive {
                     a.exposed = true;
@@ -1219,17 +1344,17 @@ impl<C: Capability> CheriMemory<C> {
         signed: bool,
         want_intptr: bool,
     ) -> MemResult<IntVal<C>> {
-        self.check_access(p, size, Access::Load)?;
+        let alloc = self.check_access(p, size, Access::Load)?;
         let addr = p.addr();
         let mut stack = [AbsByte::UNINIT; SCALAR_BUF];
         let mut heap: Vec<AbsByte>;
         let bytes: &[AbsByte] = if size as usize <= SCALAR_BUF {
             let window = &mut stack[..size as usize];
-            self.read_bytes_into(addr, window);
+            self.read_bytes_into(alloc, addr, window);
             window
         } else {
             heap = vec![AbsByte::UNINIT; size as usize];
-            self.read_bytes_into(addr, &mut heap);
+            self.read_bytes_into(alloc, addr, &mut heap);
             &heap
         };
         if bytes.iter().any(|b| !b.is_init()) {
@@ -1260,7 +1385,7 @@ impl<C: Capability> CheriMemory<C> {
             let raw = &raw[..size as usize];
             let prov = recover_provenance(bytes);
             let (cap, ghost_extra) = if addr.is_multiple_of(C::CAP_BYTES as u64) {
-                let meta = self.slot_get(addr);
+                let meta = self.slot_get(alloc, addr);
                 let cap = C::decode(raw, meta.tag)
                     .ok_or_else(|| MemError::Fail("capability decode".into()))?;
                 (cap.with_ghost(meta.ghost), GhostState::CLEAN)
@@ -1297,14 +1422,14 @@ impl<C: Capability> CheriMemory<C> {
     /// Capability/provenance check failures as for loads, plus
     /// [`Ub::WriteToReadOnly`].
     pub fn store_int(&mut self, p: &PtrVal<C>, size: u64, v: &IntVal<C>) -> MemResult<()> {
-        self.check_access(p, size, Access::Store)?;
+        let alloc = self.check_access(p, size, Access::Store)?;
         let addr = p.addr();
         self.emit(|| MemEvent::Store { addr, size });
         match v {
             IntVal::Cap { cap, prov, .. }
                 if self.cfg.capabilities && size == C::CAP_BYTES as u64 =>
             {
-                self.store_cap_bytes(addr, cap, *prov);
+                self.store_cap_bytes(alloc, addr, cap, *prov);
                 Ok(())
             }
             _ => {
@@ -1314,10 +1439,10 @@ impl<C: Capability> CheriMemory<C> {
                     for (i, d) in data[..size as usize].iter_mut().enumerate() {
                         *d = (n >> (8 * i)) as u8;
                     }
-                    self.store_data(addr, Bytes::Data(&data[..size as usize]));
+                    self.store_data(alloc, addr, Bytes::Data(&data[..size as usize]));
                 } else {
                     let data: Vec<u8> = (0..size).map(|i| (n >> (8 * i)) as u8).collect();
-                    self.store_data(addr, Bytes::Data(&data));
+                    self.store_data(alloc, addr, Bytes::Data(&data));
                 }
                 Ok(())
             }
@@ -1331,11 +1456,11 @@ impl<C: Capability> CheriMemory<C> {
     /// As for [`CheriMemory::load_int`].
     pub fn load_ptr(&mut self, p: &PtrVal<C>) -> MemResult<PtrVal<C>> {
         let size = self.pointer_bytes() as u64;
-        self.check_access(p, size, Access::Load)?;
+        let alloc = self.check_access(p, size, Access::Load)?;
         let addr = p.addr();
         let mut stack = [AbsByte::UNINIT; SCALAR_BUF];
         let bytes = &mut stack[..size as usize];
-        self.read_bytes_into(addr, bytes);
+        self.read_bytes_into(alloc, addr, bytes);
         if bytes.iter().any(|b| !b.is_init()) {
             if bytes.iter().any(super::absbyte::AbsByte::is_init) {
                 return Err(MemError::ub(
@@ -1357,7 +1482,7 @@ impl<C: Capability> CheriMemory<C> {
         let prov = recover_provenance(bytes);
         if self.cfg.capabilities {
             let (tag, ghost) = if addr.is_multiple_of(C::CAP_BYTES as u64) {
-                let meta = self.slot_get(addr);
+                let meta = self.slot_get(alloc, addr);
                 (meta.tag, meta.ghost)
             } else {
                 (false, GhostState::CLEAN)
@@ -1382,9 +1507,9 @@ impl<C: Capability> CheriMemory<C> {
     /// As for [`CheriMemory::store_int`].
     pub fn store_ptr(&mut self, p: &PtrVal<C>, v: &PtrVal<C>) -> MemResult<()> {
         let size = self.pointer_bytes() as u64;
-        self.check_access(p, size, Access::Store)?;
+        let alloc = self.check_access(p, size, Access::Store)?;
         if self.cfg.capabilities {
-            self.store_cap_bytes(p.addr(), &v.cap, v.prov);
+            self.store_cap_bytes(alloc, p.addr(), &v.cap, v.prov);
         } else {
             let a = v.addr();
             let addr = p.addr();
@@ -1392,13 +1517,13 @@ impl<C: Capability> CheriMemory<C> {
             for (i, o) in abs[..size as usize].iter_mut().enumerate() {
                 *o = AbsByte::pointer(v.prov, (a >> (8 * i)) as u8, i as u8);
             }
-            self.write_bytes(addr, Bytes::Abs(&abs[..size as usize]), None);
+            self.write_bytes(alloc, addr, Bytes::Abs(&abs[..size as usize]), None);
             self.stats.stores += 1;
         }
         Ok(())
     }
 
-    fn store_cap_bytes(&mut self, addr: u64, cap: &C, prov: Provenance) {
+    fn store_cap_bytes(&mut self, alloc: Option<usize>, addr: u64, cap: &C, prov: Provenance) {
         let mut buf = [0u8; SCALAR_BUF];
         let enc = &mut buf[..C::CAP_BYTES];
         cap.encode_into(enc);
@@ -1410,9 +1535,10 @@ impl<C: Capability> CheriMemory<C> {
         let aligned = addr.is_multiple_of(cb);
         // A misaligned capability store cannot represent the tag.
         let reason = (!aligned).then_some(TagClearReason::MisalignedStore);
-        self.write_bytes(addr, Bytes::Abs(&abs[..enc.len()]), reason);
+        self.write_bytes(alloc, addr, Bytes::Abs(&abs[..enc.len()]), reason);
         if aligned {
             self.slot_set(
+                alloc,
                 addr,
                 SlotMeta {
                     tag: cap.tag(),
@@ -1437,8 +1563,8 @@ impl<C: Capability> CheriMemory<C> {
         if n == 0 {
             return Ok(());
         }
-        self.check_access(src, n, Access::Load)?;
-        self.check_access(dst, n, Access::Store)?;
+        let src_alloc = self.check_access(src, n, Access::Load)?;
+        let dst_alloc = self.check_access(dst, n, Access::Store)?;
         let (s_addr, d_addr) = (src.addr(), dst.addr());
         self.stats.memcpy_bytes += n;
         self.emit(|| MemEvent::Memcpy {
@@ -1446,7 +1572,7 @@ impl<C: Capability> CheriMemory<C> {
             src: s_addr,
             n,
         });
-        self.copy_bytes_raw(s_addr, d_addr, n);
+        self.copy_bytes_raw(src_alloc, s_addr, dst_alloc, d_addr, n);
         Ok(())
     }
 
@@ -1459,8 +1585,8 @@ impl<C: Capability> CheriMemory<C> {
         if n == 0 {
             return Ok(());
         }
-        self.check_access(dst, n, Access::Store)?;
-        self.store_data(dst.addr(), Bytes::Fill(byte, n as usize));
+        let alloc = self.check_access(dst, n, Access::Store)?;
+        self.store_data(alloc, dst.addr(), Bytes::Fill(byte, n as usize));
         Ok(())
     }
 
@@ -1476,14 +1602,14 @@ impl<C: Capability> CheriMemory<C> {
         if n == 0 {
             return Ok(0);
         }
-        self.check_access(a, n, Access::Load)?;
-        self.check_access(b, n, Access::Load)?;
+        let a_alloc = self.check_access(a, n, Access::Load)?;
+        let b_alloc = self.check_access(b, n, Access::Load)?;
         let mut bytes = std::mem::take(&mut self.scratch);
         bytes.clear();
         bytes.resize(2 * n as usize, AbsByte::UNINIT);
         let (ba, bb) = bytes.split_at_mut(n as usize);
-        self.read_bytes_into(a.addr(), ba);
-        self.read_bytes_into(b.addr(), bb);
+        self.read_bytes_into(a_alloc, a.addr(), ba);
+        self.read_bytes_into(b_alloc, b.addr(), bb);
         let order = compare_bytes(ba, bb, self.cfg.abstract_ub);
         self.scratch = bytes;
         order
@@ -1703,6 +1829,6 @@ impl<C: Capability> CheriMemory<C> {
     /// Direct access to the capability metadata of an aligned slot (tests).
     #[must_use]
     pub fn cap_meta_at(&self, addr: u64) -> SlotMeta {
-        self.slot_get(addr)
+        self.slot_get(None, addr)
     }
 }

@@ -774,3 +774,31 @@ fn unpadded_bounds_reach_the_spill() {
     assert!(back.cap.tag() && back.cap.exact_eq(&x.cap));
     assert_eq!(back.prov, x.prov);
 }
+
+/// A root-bounded pointer with empty provenance (what `cheri_ddc_get()`
+/// yields) reaches the last bytes of the address space under a hardware
+/// profile: a `memcpy` of a tagged capability into the last slot keeps
+/// its tag, and a one-byte store that ends at 2^64 invalidates it.
+#[test]
+fn the_spill_reaches_the_top_of_the_address_space() {
+    let mut m = hardware();
+    let top = |addr: u64| PtrVal::new(Provenance::Empty, MorelloCap::root().with_address(addr));
+    let x = m
+        .allocate_object("x", 16, 16, false, Some(&[0; 16]))
+        .unwrap();
+    let cell = m.allocate_object("cell", 16, 16, false, None).unwrap();
+    m.store_ptr(&cell, &x).unwrap();
+    let slot = top(u64::MAX - 15);
+    m.memcpy(&slot, &cell, 16).unwrap();
+    assert!(m.cap_meta_at(slot.addr()).tag);
+    assert_eq!(m.memcmp(&slot, &cell, 16).unwrap(), 0);
+    let back = m.load_ptr(&slot).unwrap();
+    assert!(back.cap.tag() && back.cap.exact_eq(&x.cap));
+    m.store_int(&top(u64::MAX), 1, &IntVal::Num(1)).unwrap();
+    assert!(!m.cap_meta_at(slot.addr()).tag);
+    assert_eq!(
+        m.load_int(&top(u64::MAX), 1, false, false).unwrap().value(),
+        1
+    );
+    assert_eq!(m.stats.tag_clears, 1);
+}

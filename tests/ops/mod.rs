@@ -3,7 +3,9 @@
 //! VM forms share (`Interp` in `crates/core/src/interp.rs`): casts and
 //! f32 rounding, integer `*` (signed overflow, unsigned wrap), integer
 //! and floating compound assignment, `++`/`--`, pointer arithmetic and
-//! comparison, indirect calls and string initialisers. The engine,
+//! comparison, indirect calls and string initialisers; and memory
+//! accesses both through an object's own pointer and through a pointer
+//! derived from `cheri_ddc_get()` (`ddc_access.c`). The engine,
 //! fast-mode and lint-soundness gates run them all. Neither the progen
 //! corpus nor Table 1 has a float, so these are the gates' only float
 //! inputs. Each program stops at its first UB, so each UB case has a
