@@ -7,10 +7,10 @@
 //! (overflow UB, conversions), capability derivation at arithmetic
 //! (§3.3/§3.7), calls, and the builtins/intrinsics.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use cheri_cap::{Capability, GhostState, Perms};
-use cheri_mem::{AllocKind, CheriMemory, IntVal, MemError, MemEvent, Provenance, PtrVal, Ub};
+use cheri_mem::{AllocClass, CheriMemory, IntVal, MemError, MemEvent, Provenance, PtrVal, Ub};
 
 use crate::ast::{BinOp, UnOp};
 use crate::lex::Pos;
@@ -469,12 +469,10 @@ impl<'p, C: Capability> Interp<'p, C> {
         // Function allocations: every defined function gets a 1-byte
         // allocation so function pointers have provenance, bounds and an
         // EXECUTE-permission sentry capability.
-        let mut names: Vec<&String> = prog.funcs.keys().collect();
-        names.sort();
-        for name in names {
+        for name in prog.funcs.keys() {
             let p = self
                 .mem
-                .allocate_kind(name, 1, 16, AllocKind::Function, true, Some(&[0]))?;
+                .allocate_kind(name, 1, 16, AllocClass::Function, true, Some(&[0]))?;
             let sentry = PtrVal::new(p.prov, p.cap.seal_entry());
             self.addr_to_func.insert(p.addr(), name.clone());
             self.func_ptrs.insert(name.clone(), sentry);
@@ -484,15 +482,20 @@ impl<'p, C: Capability> Interp<'p, C> {
         for g in &prog.globals {
             let size = types_size(&prog.types, &g.ty);
             let align = prog.types.align_of(&g.ty);
-            let p = self
-                .mem
-                .allocate_kind(&g.name, size, align, AllocKind::Static, false, None)?;
+            let p =
+                self.mem
+                    .allocate_kind(&g.name, size, align, AllocClass::Static, false, None)?;
             self.globals.push(p);
         }
         for stream in &prog.streams {
-            let p =
-                self.mem
-                    .allocate_kind(stream, 16, 16, AllocKind::Static, false, Some(&[0; 16]))?;
+            let p = self.mem.allocate_kind(
+                stream,
+                16,
+                16,
+                AllocClass::Static,
+                false,
+                Some(&[0; 16]),
+            )?;
             self.globals.push(p);
         }
         // Run global initialisers (in a pseudo-frame that binds no local).
@@ -646,7 +649,7 @@ impl<'p, C: Capability> Interp<'p, C> {
         match (ty, v) {
             (Ty::Int(_), Value::Int { v, .. }) => {
                 let size = types_size(&self.prog.types, ty);
-                if self.profile.opt.elide_identity_writes && !v.is_cap() {
+                if self.profile.opt.o3 && !v.is_cap() {
                     // Optimisation emulation (§3.5): skip stores that leave
                     // memory unchanged — so they do not invalidate stored
                     // capabilities.
@@ -705,7 +708,7 @@ impl<'p, C: Capability> Interp<'p, C> {
             "string-literal",
             bytes.len() as u64,
             1,
-            AllocKind::StringLiteral,
+            AllocClass::StringLiteral,
             true,
             Some(&bytes),
         )?;
@@ -1412,7 +1415,7 @@ impl<'p, C: Capability> Interp<'p, C> {
     pub(crate) fn indirect_callee<'f, F>(
         &self,
         fv: &Value<C>,
-        funcs: &'f HashMap<String, F>,
+        funcs: &'f BTreeMap<String, F>,
     ) -> EResult<&'f F> {
         let p = fv
             .as_ptr()

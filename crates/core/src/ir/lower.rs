@@ -12,7 +12,7 @@
 //! decision reads ([`super::escape`]): each node that takes a local's
 //! address or uses it as an aggregate marks the local as it is lowered.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::tast::{Callee, LocalId, TExpr, TExprKind, TFunc, TInit, TLocal, TProgram, TStmt};
 use crate::types::{IntTy, Ty};
@@ -31,17 +31,17 @@ pub fn lower(prog: &TProgram) -> IrProgram {
         .map(|g| g.name.clone())
         .chain(prog.streams.iter().map(|s| (*s).to_string()))
         .collect();
-    let mut names: Vec<&String> = prog.funcs.keys().collect();
-    names.sort();
-    let func_index: HashMap<String, u32> = names
-        .iter()
+    let func_index: BTreeMap<String, u32> = prog
+        .funcs
+        .keys()
         .enumerate()
-        .map(|(i, n)| ((*n).clone(), i as u32))
+        .map(|(i, n)| (n.clone(), i as u32))
         .collect();
-    let mut funcs = Vec::with_capacity(names.len());
-    for name in names {
-        funcs.push(lower_func(prog, &mut pools, &func_index, &prog.funcs[name]));
-    }
+    let funcs = prog
+        .funcs
+        .values()
+        .map(|f| lower_func(prog, &mut pools, &func_index, f))
+        .collect();
     let main = func_index.get("main").copied();
     IrProgram {
         funcs,
@@ -86,7 +86,7 @@ impl Pools {
 struct FnLower<'a> {
     prog: &'a TProgram,
     pools: &'a mut Pools,
-    fidx: &'a HashMap<String, u32>,
+    fidx: &'a BTreeMap<String, u32>,
     /// The function's locals table: slot `i` holds `locals[i]`.
     locals: &'a [TLocal],
     /// Per slot, what the promotion decision needs ([`IrFunc::locals`]).
@@ -102,7 +102,7 @@ struct FnLower<'a> {
 fn lower_func(
     prog: &TProgram,
     pools: &mut Pools,
-    fidx: &HashMap<String, u32>,
+    fidx: &BTreeMap<String, u32>,
     f: &TFunc,
 ) -> IrFunc {
     let mut fl = FnLower {

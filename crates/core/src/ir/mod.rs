@@ -44,7 +44,7 @@ pub mod peephole;
 pub mod promote;
 pub mod vm;
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::ast::{BinOp, UnOp};
@@ -356,7 +356,7 @@ pub struct IrProgram {
     /// Functions, sorted by name (deterministic ids and dumps).
     pub funcs: Vec<IrFunc>,
     /// Name → [`FuncId`] index.
-    pub func_index: HashMap<String, u32>,
+    pub func_index: BTreeMap<String, u32>,
     /// Type pool (deduplicated, insertion order).
     pub types: Vec<Ty>,
     /// String pool (names, literals, messages; deduplicated).

@@ -2,8 +2,9 @@
 //!
 //! The paper's §3 repeatedly observes that what a CHERI C program does at
 //! `-O3` differs observably from `-O0` because specific transformations
-//! remove or introduce capability-relevant operations. This module
-//! implements the two transformations that act at the IR level:
+//! remove or introduce capability-relevant operations. One switch,
+//! [`OptFlags::o3`], turns all of them on. This module implements the two
+//! that rewrite the typed program:
 //!
 //! * **Constant folding / reassociation** (§3.2, §3.3): `(p + 100001) -
 //!   100000` becomes `p + 1`, eliminating a transient excursion into
@@ -17,35 +18,35 @@
 //!
 //! (The third emulated effect, identity-write elision, acts at runtime in
 //! the interpreter because it needs the current memory contents.)
+//!
+//! The pass edits the program in place, bottom-up: a node is folded after
+//! its operands. A node that folds becomes a `ConstInt`, and one that does
+//! not could not have folded from its folded operands either, so by the
+//! time a node is visited, every operand with a constant value already is
+//! a `ConstInt`. The constant checks therefore look one level down, and
+//! the pass takes time linear in the program and, when it only folds, no
+//! host allocation. Rewrites move subtrees; nothing is cloned.
 
 use crate::ast::BinOp;
 use crate::profile::OptFlags;
 use crate::tast::*;
-use crate::typeck::fold_const;
+use crate::typeck::fold_node;
+use crate::types::Ty;
 
-/// Apply the optimisation-effect passes enabled in `opt` to the program.
+/// Apply the `-O3` rewrites to the program when `opt` asks for them.
 #[must_use]
 pub fn optimize(mut prog: TProgram, opt: &OptFlags) -> TProgram {
-    if !opt.rewrites_ast() {
-        return prog;
+    if opt.o3 {
+        for f in prog.funcs.values_mut() {
+            stmts(&mut f.body);
+        }
     }
-    let funcs = std::mem::take(&mut prog.funcs);
-    prog.funcs = funcs
-        .into_iter()
-        .map(|(name, mut f)| {
-            f.body = opt_stmts(f.body, opt);
-            (name, f)
-        })
-        .collect();
     prog
 }
 
-fn opt_stmts(stmts: Vec<TStmt>, opt: &OptFlags) -> Vec<TStmt> {
-    let mut out: Vec<TStmt> = stmts.into_iter().map(|s| opt_stmt(s, opt)).collect();
-    if opt.fold_transient_arith {
-        peephole_copy_prop(&mut out);
-    }
-    out
+fn stmts(stmts: &mut [TStmt]) {
+    stmts.iter_mut().for_each(stmt);
+    peephole_copy_prop(stmts);
 }
 
 /// Statement-level emulation of copy propagation + dead-store elimination
@@ -72,15 +73,15 @@ fn peephole_copy_prop(stmts: &mut [TStmt]) {
             continue;
         };
         let TExprKind::PtrAdd {
-            ptr: p0,
             idx: idx1,
             elem: e1,
             neg: n1,
-        } = &init.kind
+            ..
+        } = &mut init.kind
         else {
             continue;
         };
-        let Some(c1) = fold_const(idx1) else { continue };
+        let Some(c1) = const_of(idx1) else { continue };
         // Next statement: `name = PtrAdd(Load(name), c2)`.
         let TStmt::Expr(TExpr {
             kind: TExprKind::Assign { lv, rhs },
@@ -104,269 +105,157 @@ fn peephole_copy_prop(stmts: &mut [TStmt]) {
         if e1 != e2 || !loads_var(inner, *local) {
             continue;
         }
-        let Some(c2) = fold_const(idx2) else { continue };
-        let total = (if *n1 { -c1 } else { c1 }) + (if *n2 { -c2 } else { c2 });
-        let (neg, c) = if total >= 0 { (false, total) } else { (true, -total) };
-        let combined = TExpr {
-            ty: init.ty.clone(),
-            kind: TExprKind::PtrAdd {
-                ptr: p0.clone(),
-                idx: Box::new(TExpr {
-                    ty: idx1.ty.clone(),
-                    kind: TExprKind::ConstInt(c),
-                    pos: idx1.pos,
-                    from_noncap: true,
-                }),
-                elem: *e1,
-                neg,
-            },
-            pos: init.pos,
-            from_noncap: init.from_noncap,
-        };
-        *init = combined;
+        let Some(c2) = const_of(idx2) else { continue };
+        let (neg, c) = combine(*n1, c1, *n2, c2);
+        *n1 = neg;
+        constant(idx1, c);
         *next = TStmt::Empty;
     }
 }
 
-fn opt_stmt(s: TStmt, opt: &OptFlags) -> TStmt {
+fn stmt(s: &mut TStmt) {
     match s {
-        TStmt::Decl {
-            local,
-            is_const,
-            init,
-            pos,
-        } => TStmt::Decl {
-            local,
-            is_const,
-            init: init.map(|i| opt_init(i, opt)),
-            pos,
-        },
-        TStmt::Expr(e) => TStmt::Expr(opt_expr(e, opt)),
-        TStmt::Block(b) => TStmt::Block(opt_stmts(b, opt)),
-        TStmt::If(c, t, e) => TStmt::If(
-            opt_expr(c, opt),
-            Box::new(opt_stmt(*t, opt)),
-            e.map(|e| Box::new(opt_stmt(*e, opt))),
-        ),
-        TStmt::While(c, b) => TStmt::While(opt_expr(c, opt), Box::new(opt_stmt(*b, opt))),
-        TStmt::DoWhile(b, c) => TStmt::DoWhile(Box::new(opt_stmt(*b, opt)), opt_expr(c, opt)),
+        TStmt::Decl { init: Some(i), .. } => init(i),
+        TStmt::Expr(e) | TStmt::Return(Some(e)) => expr(e),
+        TStmt::Block(b) => stmts(b),
+        TStmt::If(c, t, e) => {
+            expr(c);
+            stmt(t);
+            if let Some(e) = e {
+                stmt(e);
+            }
+        }
+        TStmt::While(c, b) | TStmt::DoWhile(b, c) => {
+            expr(c);
+            stmt(b);
+        }
         TStmt::For {
             init,
             cond,
             step,
             body,
         } => {
-            let folded = TStmt::For {
-                init: init.map(|s| Box::new(opt_stmt(*s, opt))),
-                cond: cond.map(|e| opt_expr(e, opt)),
-                step: step.map(|e| opt_expr(e, opt)),
-                body: Box::new(opt_stmt(*body, opt)),
-            };
-            if opt.loops_to_memcpy {
-                if let Some(m) = match_copy_loop(&folded) {
-                    return m;
-                }
+            if let Some(i) = init {
+                stmt(i);
             }
-            folded
+            cond.iter_mut().chain(step).for_each(expr);
+            stmt(body);
         }
-        TStmt::Switch(e, cases) => TStmt::Switch(
-            opt_expr(e, opt),
-            cases
-                .into_iter()
-                .map(|(v, b)| (v, opt_stmts(b, opt)))
-                .collect(),
-        ),
-        TStmt::Return(e) => TStmt::Return(e.map(|e| opt_expr(e, opt))),
-        other => other,
+        TStmt::Switch(e, cases) => {
+            expr(e);
+            for (_, b) in cases {
+                stmts(b);
+            }
+        }
+        _ => {}
+    }
+    if let Some(m) = match_copy_loop(s) {
+        *s = m;
     }
 }
 
-fn opt_init(i: TInit, opt: &OptFlags) -> TInit {
+fn init(i: &mut TInit) {
     match i {
-        TInit::Scalar(e) => TInit::Scalar(opt_expr(e, opt)),
-        TInit::List(items) => TInit::List(items.into_iter().map(|i| opt_init(i, opt)).collect()),
-        s @ TInit::Str(_) => s,
+        TInit::Scalar(e) => expr(e),
+        TInit::List(items) => items.iter_mut().for_each(init),
+        TInit::Str(_) => {}
     }
 }
 
-fn opt_expr(e: TExpr, opt: &OptFlags) -> TExpr {
-    let e = map_children(e, opt);
-    if opt.fold_transient_arith {
-        fold_arith(e)
-    } else {
-        e
-    }
-}
-
-fn map_children(mut e: TExpr, opt: &OptFlags) -> TExpr {
-    let kind = std::mem::replace(&mut e.kind, TExprKind::ConstInt(0));
-    e.kind = match kind {
-        TExprKind::Binary {
-            op,
-            lhs,
-            rhs,
-            derive,
-        } => TExprKind::Binary {
-            op,
-            lhs: Box::new(opt_expr(*lhs, opt)),
-            rhs: Box::new(opt_expr(*rhs, opt)),
-            derive,
-        },
-        TExprKind::Logical { and, lhs, rhs } => TExprKind::Logical {
-            and,
-            lhs: Box::new(opt_expr(*lhs, opt)),
-            rhs: Box::new(opt_expr(*rhs, opt)),
-        },
-        TExprKind::Unary(op, a) => TExprKind::Unary(op, Box::new(opt_expr(*a, opt))),
-        TExprKind::PtrAdd {
-            ptr,
-            idx,
-            elem,
-            neg,
-        } => TExprKind::PtrAdd {
-            ptr: Box::new(opt_expr(*ptr, opt)),
-            idx: Box::new(opt_expr(*idx, opt)),
-            elem,
-            neg,
-        },
-        TExprKind::PtrDiff { a, b, elem } => TExprKind::PtrDiff {
-            a: Box::new(opt_expr(*a, opt)),
-            b: Box::new(opt_expr(*b, opt)),
-            elem,
-        },
-        TExprKind::PtrCmp { op, a, b } => TExprKind::PtrCmp {
-            op,
-            a: Box::new(opt_expr(*a, opt)),
-            b: Box::new(opt_expr(*b, opt)),
-        },
-        TExprKind::Cast { kind, arg } => TExprKind::Cast {
-            kind,
-            arg: Box::new(opt_expr(*arg, opt)),
-        },
-        TExprKind::Assign { lv, rhs } => TExprKind::Assign {
-            lv: Box::new(opt_expr(*lv, opt)),
-            rhs: Box::new(opt_expr(*rhs, opt)),
-        },
-        TExprKind::AssignOp {
-            lv,
-            op,
-            rhs,
-            common,
-            derive,
-        } => TExprKind::AssignOp {
-            lv: Box::new(opt_expr(*lv, opt)),
-            op,
-            rhs: Box::new(opt_expr(*rhs, opt)),
-            common,
-            derive,
-        },
-        TExprKind::PtrAssignAdd { lv, idx, elem, neg } => TExprKind::PtrAssignAdd {
-            lv: Box::new(opt_expr(*lv, opt)),
-            idx: Box::new(opt_expr(*idx, opt)),
-            elem,
-            neg,
-        },
-        TExprKind::Call { callee, args } => TExprKind::Call {
-            callee,
-            args: args.into_iter().map(|a| opt_expr(a, opt)).collect(),
-        },
-        TExprKind::Cond { c, t, f } => TExprKind::Cond {
-            c: Box::new(opt_expr(*c, opt)),
-            t: Box::new(opt_expr(*t, opt)),
-            f: Box::new(opt_expr(*f, opt)),
-        },
-        TExprKind::Comma(a, b) => {
-            TExprKind::Comma(Box::new(opt_expr(*a, opt)), Box::new(opt_expr(*b, opt)))
+fn expr(e: &mut TExpr) {
+    match &mut e.kind {
+        TExprKind::Binary { lhs: a, rhs: b, .. }
+        | TExprKind::Logical { lhs: a, rhs: b, .. }
+        | TExprKind::PtrAdd { ptr: a, idx: b, .. }
+        | TExprKind::PtrDiff { a, b, .. }
+        | TExprKind::PtrCmp { a, b, .. }
+        | TExprKind::Assign { lv: a, rhs: b }
+        | TExprKind::AssignOp { lv: a, rhs: b, .. }
+        | TExprKind::PtrAssignAdd { lv: a, idx: b, .. }
+        | TExprKind::Comma(a, b) => {
+            expr(a);
+            expr(b);
         }
-        TExprKind::LvDeref(p) => TExprKind::LvDeref(Box::new(opt_expr(*p, opt))),
-        TExprKind::LvMember(b, off) => TExprKind::LvMember(Box::new(opt_expr(*b, opt)), off),
-        TExprKind::Load(lv) => TExprKind::Load(Box::new(opt_expr(*lv, opt))),
-        TExprKind::AddrOf(lv) => TExprKind::AddrOf(Box::new(opt_expr(*lv, opt))),
-        TExprKind::Decay(lv) => TExprKind::Decay(Box::new(opt_expr(*lv, opt))),
-        TExprKind::IncDec {
-            lv,
-            inc,
-            prefix,
-            elem,
-        } => TExprKind::IncDec {
-            lv: Box::new(opt_expr(*lv, opt)),
-            inc,
-            prefix,
-            elem,
-        },
-        other => other,
-    };
-    e
+        TExprKind::Unary(_, a)
+        | TExprKind::Cast { arg: a, .. }
+        | TExprKind::LvDeref(a)
+        | TExprKind::LvMember(a, _)
+        | TExprKind::Load(a)
+        | TExprKind::AddrOf(a)
+        | TExprKind::Decay(a)
+        | TExprKind::IncDec { lv: a, .. } => expr(a),
+        // An indirect callee is left as written.
+        TExprKind::Call { args, .. } => args.iter_mut().for_each(expr),
+        TExprKind::Cond { c, t, f } => {
+            expr(c);
+            expr(t);
+            expr(f);
+        }
+        TExprKind::ConstInt(_)
+        | TExprKind::ConstFloat(_)
+        | TExprKind::StrLit(_)
+        | TExprKind::LvLocal(_)
+        | TExprKind::LvGlobal(_)
+        | TExprKind::FuncAddr(_) => {}
+    }
+    fold_arith(e);
+}
+
+/// The value of an operand the pass has already visited.
+fn const_of(e: &TExpr) -> Option<i128> {
+    match e.kind {
+        TExprKind::ConstInt(v) => Some(v),
+        _ => None,
+    }
+}
+
+/// `±c1 ± c2` (a flag set means minus), as a sign flag and a magnitude.
+fn combine(neg1: bool, c1: i128, neg2: bool, c2: i128) -> (bool, i128) {
+    let total = (if neg1 { -c1 } else { c1 }) + (if neg2 { -c2 } else { c2 });
+    (total < 0, total.abs())
+}
+
+/// Make the constant operand `e` hold the folded constant `c`.
+fn constant(e: &mut TExpr, c: i128) {
+    e.kind = TExprKind::ConstInt(c);
+    e.from_noncap = true;
 }
 
 /// Constant folding and ± reassociation: collapse `(x ± c1) ± c2` into
 /// `x ± (c1 ± c2)` and fully-constant subtrees into constants, on both
 /// integer arithmetic and pointer arithmetic nodes.
-fn fold_arith(e: TExpr) -> TExpr {
-    // Whole subtree constant?
+fn fold_arith(e: &mut TExpr) {
     if !matches!(e.kind, TExprKind::ConstInt(_)) {
-        if let Some(v) = fold_const(&e) {
-            return TExpr {
-                ty: e.ty,
-                kind: TExprKind::ConstInt(v),
-                pos: e.pos,
-                from_noncap: e.from_noncap,
-            };
+        if let Some(v) = fold_node(e, const_of) {
+            e.kind = TExprKind::ConstInt(v);
+            return;
         }
     }
-    match e.kind {
+    match &mut e.kind {
         // (x op1 c1) op2 c2 → x op (c1 ∘ c2) for op ∈ {+,-}
         TExprKind::Binary {
             op: op2 @ (BinOp::Add | BinOp::Sub),
             lhs,
-            rhs: rhs2,
+            rhs,
             derive,
         } => {
-            if let (Some(c2), TExprKind::Binary {
+            let Some(c2) = const_of(rhs) else { return };
+            let TExprKind::Binary {
                 op: op1 @ (BinOp::Add | BinOp::Sub),
-                lhs: x,
                 rhs: rhs1,
                 derive: d1,
-            }) = (fold_const(&rhs2), lhs.kind.clone())
-            {
-                if let Some(c1) = fold_const(&rhs1) {
-                    let total = (if op1 == BinOp::Add { c1 } else { -c1 })
-                        + (if op2 == BinOp::Add { c2 } else { -c2 });
-                    let (op, c) = if total >= 0 {
-                        (BinOp::Add, total)
-                    } else {
-                        (BinOp::Sub, -total)
-                    };
-                    let cnode = TExpr {
-                        ty: rhs1.ty.clone(),
-                        kind: TExprKind::ConstInt(c),
-                        pos: rhs1.pos,
-                        from_noncap: true,
-                    };
-                    return TExpr {
-                        ty: e.ty,
-                        kind: TExprKind::Binary {
-                            op,
-                            lhs: x,
-                            rhs: Box::new(cnode),
-                            derive: d1,
-                        },
-                        pos: e.pos,
-                        from_noncap: e.from_noncap,
-                    };
-                }
-            }
-            TExpr {
-                ty: e.ty,
-                kind: TExprKind::Binary {
-                    op: op2,
-                    lhs,
-                    rhs: rhs2,
-                    derive,
-                },
-                pos: e.pos,
-                from_noncap: e.from_noncap,
-            }
+                ..
+            } = &lhs.kind
+            else {
+                return;
+            };
+            let Some(c1) = const_of(rhs1) else { return };
+            let (sub, c) = combine(*op1 == BinOp::Sub, c1, *op2 == BinOp::Sub, c2);
+            *op2 = if sub { BinOp::Sub } else { BinOp::Add };
+            *derive = *d1;
+            let (x, mut rhs1) = operands(lhs);
+            constant(&mut rhs1, c);
+            (*lhs, *rhs) = (x, rhs1);
         }
         // (PtrAdd (PtrAdd p c1) c2) → PtrAdd p (c1 ∘ c2)
         TExprKind::PtrAdd {
@@ -375,62 +264,58 @@ fn fold_arith(e: TExpr) -> TExpr {
             elem,
             neg,
         } => {
-            if let (Some(c2), TExprKind::PtrAdd {
-                ptr: p0,
+            let Some(c2) = const_of(idx) else { return };
+            let TExprKind::PtrAdd {
                 idx: idx1,
                 elem: elem1,
                 neg: neg1,
-            }) = (fold_const(&idx), ptr.kind.clone())
-            {
-                if elem1 == elem {
-                    if let Some(c1) = fold_const(&idx1) {
-                        let total = (if neg1 { -c1 } else { c1 }) + (if neg { -c2 } else { c2 });
-                        let (nneg, c) = if total >= 0 { (false, total) } else { (true, -total) };
-                        let cnode = TExpr {
-                            ty: idx1.ty.clone(),
-                            kind: TExprKind::ConstInt(c),
-                            pos: idx1.pos,
-                            from_noncap: true,
-                        };
-                        return TExpr {
-                            ty: e.ty,
-                            kind: TExprKind::PtrAdd {
-                                ptr: p0,
-                                idx: Box::new(cnode),
-                                elem,
-                                neg: nneg,
-                            },
-                            pos: e.pos,
-                            from_noncap: e.from_noncap,
-                        };
-                    }
-                }
+                ..
+            } = &ptr.kind
+            else {
+                return;
+            };
+            if elem1 != elem {
+                return;
             }
-            TExpr {
-                ty: e.ty,
-                kind: TExprKind::PtrAdd {
-                    ptr,
-                    idx,
-                    elem,
-                    neg,
-                },
-                pos: e.pos,
-                from_noncap: e.from_noncap,
-            }
+            let Some(c1) = const_of(idx1) else { return };
+            let (n, c) = combine(*neg1, c1, *neg, c2);
+            *neg = n;
+            let (p0, mut idx1) = operands(ptr);
+            constant(&mut idx1, c);
+            (*ptr, *idx) = (p0, idx1);
         }
-        kind => TExpr {
-            ty: e.ty,
-            kind,
-            pos: e.pos,
-            from_noncap: e.from_noncap,
-        },
+        _ => {}
     }
 }
 
+/// Move the operands out of `e`, an integer `+`/`-` or a pointer
+/// addition, leaving a constant in its place.
+fn operands(e: &mut TExpr) -> (Box<TExpr>, Box<TExpr>) {
+    match take(e).kind {
+        TExprKind::Binary { lhs, rhs, .. }
+        | TExprKind::PtrAdd {
+            ptr: lhs, idx: rhs, ..
+        } => (lhs, rhs),
+        _ => unreachable!("matched by the caller"),
+    }
+}
+
+/// Move `e` out, leaving a constant in its place.
+fn take(e: &mut TExpr) -> TExpr {
+    let hole = TExpr {
+        ty: Ty::Void,
+        kind: TExprKind::ConstInt(0),
+        pos: e.pos,
+        from_noncap: false,
+    };
+    std::mem::replace(e, hole)
+}
+
 /// Recognise the §3.5 byte-copy loop
-/// `for (i = 0; i < N; i++) d[i] = s[i];` (element size 1) and replace it
-/// with an `OptMemcpy` — emulating GCC's tree-loop-distribute-patterns.
-fn match_copy_loop(s: &TStmt) -> Option<TStmt> {
+/// `for (i = 0; i < N; i++) d[i] = s[i];` (element size 1) and return the
+/// `OptMemcpy` that replaces it — emulating GCC's
+/// tree-loop-distribute-patterns. The operands move out of the loop.
+fn match_copy_loop(s: &mut TStmt) -> Option<TStmt> {
     let TStmt::For {
         init: Some(init),
         cond: Some(cond),
@@ -450,14 +335,14 @@ fn match_copy_loop(s: &TStmt) -> Option<TStmt> {
         _ => return None,
     };
     // cond: Load(i) < N (possibly through casts).
-    let (cmp_lhs, n_expr) = match &cond.kind {
-        TExprKind::Binary {
-            op: BinOp::Lt,
-            lhs,
-            rhs,
-            ..
-        } => (lhs, rhs),
-        _ => return None,
+    let TExprKind::Binary {
+        op: BinOp::Lt,
+        lhs: cmp_lhs,
+        rhs: n_expr,
+        ..
+    } = &mut cond.kind
+    else {
+        return None;
     };
     if !loads_var(cmp_lhs, ivar) {
         return None;
@@ -468,34 +353,31 @@ fn match_copy_loop(s: &TStmt) -> Option<TStmt> {
         _ => return None,
     }
     // body: single statement `d[i] = s[i]` at element size 1.
-    let assign = match &**body {
+    let assign = match &mut **body {
         TStmt::Expr(e) => e,
-        TStmt::Block(b) if b.len() == 1 => match &b[0] {
+        TStmt::Block(b) if b.len() == 1 => match &mut b[0] {
             TStmt::Expr(e) => e,
             _ => return None,
         },
         _ => return None,
     };
-    let TExprKind::Assign { lv, rhs } = &assign.kind else {
+    let TExprKind::Assign { lv, rhs } = &mut assign.kind else {
         return None;
     };
     let dst = indexed_base(lv, ivar)?;
-    let TExprKind::Load(src_lv) = &rhs.kind else {
+    let TExprKind::Load(src_lv) = &mut rhs.kind else {
         return None;
     };
     let src = indexed_base(src_lv, ivar)?;
-    Some(TStmt::OptMemcpy {
-        dst,
-        src,
-        n: strip_casts(n_expr).clone(),
-    })
-}
-
-fn strip_casts(e: &TExpr) -> &TExpr {
-    match &e.kind {
-        TExprKind::Cast { arg, .. } => strip_casts(arg),
-        _ => e,
+    let mut n = take(n_expr);
+    while let TExprKind::Cast { arg, .. } = n.kind {
+        n = *arg;
     }
+    Some(TStmt::OptMemcpy {
+        dst: take(dst),
+        src: take(src),
+        n,
+    })
 }
 
 fn is_var(e: &TExpr, local: LocalId) -> bool {
@@ -512,8 +394,8 @@ fn loads_var(e: &TExpr, local: LocalId) -> bool {
 
 /// If `e` is the lvalue `base[i]` with element size 1 and index variable
 /// `ivar`, return the base pointer expression.
-fn indexed_base(e: &TExpr, ivar: LocalId) -> Option<TExpr> {
-    let TExprKind::LvDeref(p) = &e.kind else {
+fn indexed_base(e: &mut TExpr, ivar: LocalId) -> Option<&mut TExpr> {
+    let TExprKind::LvDeref(p) = &mut e.kind else {
         return None;
     };
     let TExprKind::PtrAdd {
@@ -521,14 +403,11 @@ fn indexed_base(e: &TExpr, ivar: LocalId) -> Option<TExpr> {
         idx,
         elem: 1,
         neg: false,
-    } = &p.kind
+    } = &mut p.kind
     else {
         return None;
     };
-    if !loads_var(idx, ivar) {
-        return None;
-    }
-    Some((**ptr).clone())
+    loads_var(idx, ivar).then_some(&mut **ptr)
 }
 
 #[cfg(test)]

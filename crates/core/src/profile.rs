@@ -14,7 +14,9 @@
 //!   (Appendix A);
 //! * *optimisation effects* — the specific transformations §3 discusses:
 //!   identity-write elision (§3.5), transient out-of-bounds folding
-//!   (§3.2/§3.3), and byte-copy-loop-to-`memcpy` conversion (§3.5).
+//!   (§3.2/§3.3), and byte-copy-loop-to-`memcpy` conversion (§3.5). The
+//!   paper compares each implementation at `-O0` and at `-O3` only, so the
+//!   three come and go together.
 
 use cheri_mem::{AddressLayout, MemConfig};
 
@@ -22,19 +24,15 @@ use cheri_mem::{AddressLayout, MemConfig};
 /// discussion identifies as observable).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OptFlags {
-    /// Reported optimisation level (cosmetic, for profile names).
-    pub level: u8,
-    /// §3.5: an identity byte write (`p[0] = p[0]`) is removed by the
-    /// optimiser, so it does not invalidate a stored capability. Emulated
-    /// by skipping data stores that do not change memory contents.
-    pub elide_identity_writes: bool,
-    /// §3.2/§3.3: constant folding collapses `(p + a) - b` into `p + (a-b)`,
-    /// removing transient non-representability. Emulated by an IR
-    /// constant-folding pass.
-    pub fold_transient_arith: bool,
-    /// §3.5: byte-copy loops are recognised and turned into `memcpy`, which
-    /// preserves capability tags. Emulated by an IR pattern-match pass.
-    pub loops_to_memcpy: bool,
+    /// `-O3`: the three effects of §3 the paper observes at that level.
+    /// An identity byte write (`p[0] = p[0]`) is removed, so it does not
+    /// invalidate a stored capability (§3.5): the interpreter skips data
+    /// stores that do not change memory contents. Constant folding collapses
+    /// `(p + a) - b` into `p + (a-b)`, removing transient
+    /// non-representability (§3.2/§3.3), and a byte-copy loop becomes a
+    /// tag-preserving `memcpy` (§3.5): [`crate::opt::optimize`] rewrites the
+    /// typed program.
+    pub o3: bool,
     /// The *non-oracle* fast mode (ROADMAP item 1 track (b)): escape-analyse
     /// the lowered IR and register-promote provably never-addressed scalar
     /// locals, eliding their allocations entirely (DESIGN.md §12). Off by
@@ -57,10 +55,7 @@ impl OptFlags {
     #[must_use]
     pub fn o3() -> Self {
         OptFlags {
-            level: 3,
-            elide_identity_writes: true,
-            fold_transient_arith: true,
-            loops_to_memcpy: true,
+            o3: true,
             register_promote: false,
         }
     }
@@ -70,15 +65,6 @@ impl OptFlags {
     pub fn fast(mut self) -> Self {
         self.register_promote = true;
         self
-    }
-
-    /// Does [`crate::opt::optimize`] rewrite anything under these flags?
-    /// When it does not, the type-checked program is already the
-    /// optimised one, so compilations that differ only in other flags can
-    /// share it.
-    #[must_use]
-    pub fn rewrites_ast(&self) -> bool {
-        self.fold_transient_arith || self.loops_to_memcpy
     }
 }
 
@@ -148,7 +134,7 @@ impl Profile {
 
     fn hardware(name: &str, layout: AddressLayout, opt: OptFlags) -> Self {
         Profile {
-            name: format!("{name}-O{}", opt.level),
+            name: format!("{name}-O{}", if opt.o3 { 3 } else { 0 }),
             mem: MemConfig::cheri_hardware(layout),
             opt,
             subobject_bounds: false,

@@ -463,8 +463,9 @@ pub struct TProgram {
     /// The predefined stream handles (`stderr`, `stdout`) the program does
     /// not declare itself; they follow `globals` in [`GlobalId`] order.
     pub streams: Vec<&'static str>,
-    /// Functions by name.
-    pub funcs: std::collections::HashMap<String, TFunc>,
+    /// Functions by name, in name order: the order in which both engines
+    /// give functions their addresses and the lowering numbers them.
+    pub funcs: std::collections::BTreeMap<String, TFunc>,
 }
 
 impl TExpr {

@@ -14,7 +14,7 @@
 //!   intrinsics accept any capability-carrying type and may return "the same
 //!   type as argument 0".
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use crate::ast::{self, BinOp, Expr, ExprKind, Init, Item, Stmt, StmtKind, UnOp};
@@ -219,7 +219,7 @@ impl Checker {
             }
         }
         let mut globals: Vec<TGlobal> = Vec::new();
-        let mut funcs = HashMap::new();
+        let mut funcs = BTreeMap::new();
         for item in prog.items {
             match item {
                 Item::Global(g) => {
@@ -1716,20 +1716,26 @@ fn is_char(t: &Ty) -> bool {
 }
 
 /// Fold a typed expression to a constant, when possible (case labels).
-#[must_use]
-pub fn fold_const(e: &TExpr) -> Option<i128> {
+fn fold_const(e: &TExpr) -> Option<i128> {
+    fold_node(e, fold_const)
+}
+
+/// The constant `e` folds to, given what each of its operands folds to
+/// by `operand`: [`fold_const`] recurses, and the `-O3` pass, which
+/// folds bottom-up, looks one level down.
+pub(crate) fn fold_node(e: &TExpr, operand: fn(&TExpr) -> Option<i128>) -> Option<i128> {
     match &e.kind {
         TExprKind::ConstInt(v) => Some(*v),
-        TExprKind::Unary(op @ (UnOp::Neg | UnOp::BitNot), a) => op.fold(fold_const(a)?),
+        TExprKind::Unary(op @ (UnOp::Neg | UnOp::BitNot), a) => op.fold(operand(a)?),
         TExprKind::Cast {
             kind: CastKind::IntToInt,
             arg,
         } => {
-            let v = fold_const(arg)?;
+            let v = operand(arg)?;
             e.ty.as_int().map(|it| it.wrap(v))
         }
         TExprKind::Binary { op, lhs, rhs, .. } => {
-            let v = op.fold(fold_const(lhs)?, fold_const(rhs)?)?;
+            let v = op.fold(operand(lhs)?, operand(rhs)?)?;
             e.ty.as_int().map(|it| it.wrap(v))
         }
         _ => None,

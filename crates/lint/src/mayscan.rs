@@ -274,10 +274,8 @@ pub fn scan(prog: &TProgram, profile: &Profile) -> Vec<MayTrigger> {
             s.init(init);
         }
     }
-    let mut names: Vec<&String> = prog.funcs.keys().collect();
-    names.sort();
-    for name in names {
-        for st in &prog.funcs[name].body {
+    for f in prog.funcs.values() {
+        for st in &f.body {
             s.stmt(st);
         }
     }

@@ -6,35 +6,11 @@
 //! representation examined (PNVI-*ae*, §2.3).
 
 use cheri_cap::GhostState;
-use cheri_obs::Name;
+use cheri_obs::{AllocClass, Name};
 
 use crate::absbyte::AbsByte;
 use crate::capmeta::{CapSlotBits, SlotMeta, TagInvalidation};
 use crate::AllocId;
-
-/// How an allocation was created.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AllocKind {
-    /// A local (automatic storage duration) object.
-    Auto,
-    /// A global (static storage duration) object.
-    Static,
-    /// A dynamic region from `malloc`/`calloc`/`realloc`.
-    Heap,
-    /// A function's "object" — functions get allocations so function
-    /// pointers have provenance and (degenerate) bounds.
-    Function,
-    /// A string literal.
-    StringLiteral,
-}
-
-impl AllocKind {
-    /// Is this allocation writable at all?
-    #[must_use]
-    pub fn inherently_readonly(self) -> bool {
-        matches!(self, AllocKind::Function | AllocKind::StringLiteral)
-    }
-}
 
 /// One allocation in the abstract machine.
 #[derive(Clone, Debug)]
@@ -51,7 +27,7 @@ pub struct Allocation {
     /// Alignment of `base`.
     pub align: u64,
     /// Storage kind.
-    pub kind: AllocKind,
+    pub kind: AllocClass,
     /// Still live?
     pub alive: bool,
     /// Marked exposed by a pointer-to-integer cast or representation access
@@ -174,7 +150,7 @@ mod tests {
             size,
             reserved_size: size,
             align: 4,
-            kind: AllocKind::Auto,
+            kind: AllocClass::Auto,
             alive: true,
             exposed: false,
             readonly: false,
@@ -206,7 +182,7 @@ mod tests {
     #[test]
     fn function_allocations_readonly() {
         let mut a = alloc(0x4000, 1);
-        a.kind = AllocKind::Function;
+        a.kind = AllocClass::Function;
         assert!(!a.writable());
     }
 

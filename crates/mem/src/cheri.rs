@@ -35,7 +35,7 @@ use cheri_obs::{
 };
 
 use crate::absbyte::{recover_provenance, AbsByte};
-use crate::allocation::{AllocKind, Allocation};
+use crate::allocation::Allocation;
 use crate::capmeta::{CapMeta, CapSlotBits, SlotMeta, TagInvalidation};
 use crate::index::{Footprint, Index};
 use crate::layout::AddressLayout;
@@ -166,18 +166,6 @@ pub struct MemStats {
 enum Access {
     Load,
     Store,
-}
-
-/// [`AllocKind`] → the event vocabulary's [`AllocClass`] (same variants;
-/// `cheri-obs` keeps its own copy to stay a leaf crate).
-fn alloc_class(kind: AllocKind) -> AllocClass {
-    match kind {
-        AllocKind::Auto => AllocClass::Auto,
-        AllocKind::Static => AllocClass::Static,
-        AllocKind::Heap => AllocClass::Heap,
-        AllocKind::Function => AllocClass::Function,
-        AllocKind::StringLiteral => AllocClass::StringLiteral,
-    }
 }
 
 /// The position of allocation `id` in `CheriMemory::allocations`: IDs
@@ -547,10 +535,10 @@ impl<C: Capability> CheriMemory<C> {
 
     /// Compute the address for a new allocation of `size` bytes with
     /// `align` alignment in the region for `kind`.
-    fn place(&mut self, size: u64, align: u64, kind: AllocKind) -> MemResult<u64> {
+    fn place(&mut self, size: u64, align: u64, kind: AllocClass) -> MemResult<u64> {
         let align = align.max(1);
         match kind {
-            AllocKind::Auto => {
+            AllocClass::Auto => {
                 let base = self
                     .stack_ptr
                     .checked_sub(size)
@@ -562,7 +550,7 @@ impl<C: Capability> CheriMemory<C> {
                 self.stack_ptr = base;
                 Ok(base)
             }
-            AllocKind::Heap => {
+            AllocClass::Heap => {
                 let base = (self.heap_ptr + align - 1) & !(align - 1);
                 let end = base
                     .checked_add(size)
@@ -573,7 +561,7 @@ impl<C: Capability> CheriMemory<C> {
                 self.heap_ptr = end;
                 Ok(base)
             }
-            AllocKind::Static | AllocKind::Function | AllocKind::StringLiteral => {
+            AllocClass::Static | AllocClass::Function | AllocClass::StringLiteral => {
                 let base = (self.globals_ptr + align - 1) & !(align - 1);
                 let end = base
                     .checked_add(size)
@@ -590,15 +578,15 @@ impl<C: Capability> CheriMemory<C> {
     /// Derive the capability handed out for a fresh allocation: bounds
     /// narrowed to the footprint, data permissions (read-only for `const`
     /// objects, §3.9; execute for functions).
-    fn allocation_cap(&self, base: u64, size: u64, kind: AllocKind, readonly: bool) -> C {
+    fn allocation_cap(&self, base: u64, size: u64, kind: AllocClass, readonly: bool) -> C {
         if !self.cfg.capabilities {
             // Baseline model: pointers are plain addresses; keep a root
             // capability around purely as the address carrier.
             return C::root().with_address(base);
         }
         let perms = match kind {
-            AllocKind::Function => Perms::code(),
-            AllocKind::StringLiteral => Perms::data_readonly(),
+            AllocClass::Function => Perms::code(),
+            AllocClass::StringLiteral => Perms::data_readonly(),
             _ if readonly => Perms::data_readonly(),
             _ => Perms::data(),
         };
@@ -623,10 +611,10 @@ impl<C: Capability> CheriMemory<C> {
         readonly: bool,
         init: Option<&[u8]>,
     ) -> MemResult<PtrVal<C>> {
-        self.allocate_kind(prefix, size, align, AllocKind::Auto, readonly, init)
+        self.allocate_kind(prefix, size, align, AllocClass::Auto, readonly, init)
     }
 
-    /// Allocate with an explicit [`AllocKind`].
+    /// Allocate with an explicit [`AllocClass`].
     ///
     /// # Errors
     ///
@@ -636,7 +624,7 @@ impl<C: Capability> CheriMemory<C> {
         prefix: &str,
         size: u64,
         align: u64,
-        kind: AllocKind,
+        kind: AllocClass,
         readonly: bool,
         init: Option<&[u8]>,
     ) -> MemResult<PtrVal<C>> {
@@ -698,7 +686,7 @@ impl<C: Capability> CheriMemory<C> {
             id: id.0,
             base,
             size,
-            kind: alloc_class(kind),
+            kind,
             name: Name::new(prefix),
         });
         let cap = self.allocation_cap(base, size, kind, readonly);
@@ -711,7 +699,7 @@ impl<C: Capability> CheriMemory<C> {
     ///
     /// Fails (not UB) when the heap is exhausted.
     pub fn allocate_region(&mut self, size: u64, align: u64) -> MemResult<PtrVal<C>> {
-        self.allocate_kind("malloc", size, align.max(16), AllocKind::Heap, false, None)
+        self.allocate_kind("malloc", size, align.max(16), AllocClass::Heap, false, None)
     }
 
     /// End the lifetime of an allocation. `dynamic` selects `free` semantics
@@ -744,7 +732,7 @@ impl<C: Capability> CheriMemory<C> {
             ));
         }
         if dynamic {
-            if alloc.kind != AllocKind::Heap || p.addr() != alloc.base {
+            if alloc.kind != AllocClass::Heap || p.addr() != alloc.base {
                 return Err(MemError::ub(
                     Ub::FreeInvalidPointer,
                     format!("{:#x} is not the start of a heap allocation", p.addr()),
@@ -880,7 +868,7 @@ impl<C: Capability> CheriMemory<C> {
         if !alive {
             return Err(MemError::ub(Ub::DoubleFree, "realloc of freed pointer"));
         }
-        if kind != AllocKind::Heap || old.addr() != old_base {
+        if kind != AllocClass::Heap || old.addr() != old_base {
             return Err(MemError::ub(
                 Ub::FreeInvalidPointer,
                 "realloc of a non-heap pointer",

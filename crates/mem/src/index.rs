@@ -8,7 +8,8 @@
 //! however many came before it, and a lookup is one binary search in the
 //! run whose span covers the address. Dead allocations keep their entry.
 
-use crate::allocation::AllocKind;
+use cheri_obs::AllocClass;
+
 use crate::provenance::AllocId;
 
 /// One reserved footprint `[base, end)` and its allocation.
@@ -109,11 +110,11 @@ impl Index {
 
     /// Record the footprint of a new allocation of `kind`, which its
     /// region's bump allocator placed beyond every earlier one.
-    pub fn push(&mut self, kind: AllocKind, f: Footprint) {
+    pub fn push(&mut self, kind: AllocClass, f: Footprint) {
         match kind {
-            AllocKind::Auto => self.stack.push(f),
-            AllocKind::Heap => self.heap.push(f),
-            AllocKind::Static | AllocKind::Function | AllocKind::StringLiteral => {
+            AllocClass::Auto => self.stack.push(f),
+            AllocClass::Heap => self.heap.push(f),
+            AllocClass::Static | AllocClass::Function | AllocClass::StringLiteral => {
                 self.globals.push(f);
             }
         }
@@ -158,11 +159,11 @@ mod tests {
     /// and 0x30 (ascending), one global at 0x00, with gaps between.
     fn sample() -> Index {
         let mut ix = Index::new();
-        ix.push(AllocKind::Static, fp(0x00, 0x08, 1));
-        ix.push(AllocKind::Auto, fp(0x90, 0x98, 2));
-        ix.push(AllocKind::Heap, fp(0x20, 0x28, 3));
-        ix.push(AllocKind::Auto, fp(0x80, 0x88, 4));
-        ix.push(AllocKind::Heap, fp(0x30, 0x40, 5));
+        ix.push(AllocClass::Static, fp(0x00, 0x08, 1));
+        ix.push(AllocClass::Auto, fp(0x90, 0x98, 2));
+        ix.push(AllocClass::Heap, fp(0x20, 0x28, 3));
+        ix.push(AllocClass::Auto, fp(0x80, 0x88, 4));
+        ix.push(AllocClass::Heap, fp(0x30, 0x40, 5));
         ix
     }
 
@@ -205,7 +206,7 @@ mod tests {
         ix.clear();
         assert_eq!(ix.find(0x84), None);
         assert_eq!(ix.next_base(0), None);
-        ix.push(AllocKind::Auto, fp(0x80, 0x88, 6));
+        ix.push(AllocClass::Auto, fp(0x80, 0x88, 6));
         assert_eq!(ix.find(0x84).map(|f| f.id.0), Some(6));
     }
 }

@@ -42,7 +42,7 @@ mod ub;
 mod value;
 
 pub use absbyte::{recover_provenance, AbsByte};
-pub use allocation::{AllocKind, Allocation};
+pub use allocation::Allocation;
 pub use capmeta::{CapMeta, CapSlotBits, SlotMeta, TagInvalidation};
 pub use cheri::{CheriMemory, MemConfig, MemStats};
 pub use layout::AddressLayout;

@@ -3,7 +3,7 @@
 use cheri_cap::{Capability, GhostState, MorelloCap};
 
 use crate::{
-    AddressLayout, AllocKind, CheriMemory, IntVal, MemConfig, MemError, Provenance, PtrVal,
+    AddressLayout, AllocClass, CheriMemory, IntVal, MemConfig, MemError, Provenance, PtrVal,
     TrapKind, Ub,
 };
 
@@ -445,7 +445,7 @@ fn representability_padding_for_large_allocations() {
 fn function_pointers_are_executable_not_writable() {
     let mut m = reference();
     let f = m
-        .allocate_kind("f", 1, 1, AllocKind::Function, true, Some(&[0]))
+        .allocate_kind("f", 1, 1, AllocClass::Function, true, Some(&[0]))
         .unwrap();
     assert!(f.cap.perms().contains(cheri_cap::Perms::EXECUTE));
     assert!(!f.cap.perms().contains(cheri_cap::Perms::STORE));

@@ -78,7 +78,7 @@ impl fmt::Debug for Name {
     }
 }
 
-/// The storage class of an allocation, mirroring `cheri-mem`'s `AllocKind`.
+/// The storage class of an allocation: how `cheri-mem` created it.
 ///
 /// The `Debug` names must stay exactly `Auto`/`Static`/`Heap`/`Function`/
 /// `StringLiteral`: the legacy text renderer prints them with `{:?}` and the
@@ -117,6 +117,13 @@ impl AllocClass {
     #[must_use]
     pub fn from_code(code: u8) -> Option<AllocClass> {
         ALL_ALLOC_CLASSES.get(code as usize).copied()
+    }
+
+    /// Is this allocation read-only whatever its object's qualifiers?
+    #[inline]
+    #[must_use]
+    pub fn inherently_readonly(self) -> bool {
+        matches!(self, AllocClass::Function | AllocClass::StringLiteral)
     }
 }
 
@@ -422,7 +429,7 @@ mod tests {
 
     #[test]
     fn alloc_class_debug_matches_legacy_alloc_kind() {
-        // Pinned: the legacy trace prints AllocKind with `{:?}`.
+        // Pinned: the legacy trace prints the class with `{:?}`.
         let names: Vec<String> = ALL_ALLOC_CLASSES.iter().map(|k| format!("{k:?}")).collect();
         assert_eq!(names, ["Auto", "Static", "Heap", "Function", "StringLiteral"]);
     }

@@ -17,10 +17,9 @@
 //!   (source, pointer size, optimisation fingerprint) — the fields of
 //!   [`CompileKey`], with the text in place of its hash.
 //!
-//! A key whose flags make `opt::optimize` rewrite nothing
-//! ([`OptFlags::rewrites_ast`] is false: every `-O0` profile, with or
-//! without `@fast`) holds the typed program itself; a key whose flags do
-//! (`-O3`) optimises a clone of it. So the `-O0` and `-O3` keys of one
+//! A key without [`OptFlags::o3`] (every `-O0` profile, with or without
+//! `@fast`) holds the typed program itself, which `opt::optimize` would
+//! not rewrite; an `-O3` key optimises a clone of it. So the `-O0` and `-O3` keys of one
 //! source share one front end, every `-O0` CHERI hardware profile shares
 //! one compiled program, and a broken source is diagnosed once per pointer
 //! size, every key of it reporting the same message. Re-submitting a
@@ -59,14 +58,10 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Pack the observable compile-time optimisation effects into a key
-/// fragment. Must cover every `OptFlags` field the front end reads.
+/// Pack the optimisation flags into a key fragment, one bit each. Must
+/// cover every `OptFlags` field the compilation reads.
 fn opt_fingerprint(o: &OptFlags) -> u64 {
-    u64::from(o.level)
-        | (u64::from(o.elide_identity_writes) << 8)
-        | (u64::from(o.fold_transient_arith) << 9)
-        | (u64::from(o.loops_to_memcpy) << 10)
-        | (u64::from(o.register_promote) << 11)
+    u64::from(o.o3) | (u64::from(o.register_promote) << 1)
 }
 
 /// What makes two (source, profile, capability-model) compilations share
@@ -201,7 +196,7 @@ impl ProgramCache {
             self.with_source(src, |s| first_insert(&mut s.front, ptr_size, typed))
         });
         let compiled = typed.map(|typed| {
-            let tast = if profile.opt.rewrites_ast() {
+            let tast = if profile.opt.o3 {
                 Arc::new(opt::optimize(TProgram::clone(&typed), &profile.opt))
             } else {
                 typed

@@ -24,12 +24,13 @@
 
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
 use cheri_cap::Capability;
-use cheri_core::{Engine, Interp, Outcome};
+use cheri_core::{Engine, Interp, Outcome, Profile};
 use cheri_lint::lint_program_with;
 use cheri_mem::{CheriMemory, MemEvent};
 
@@ -42,6 +43,19 @@ pub(crate) fn outcome_string(o: &Outcome) -> String {
     match o {
         Outcome::Error(m) => format!("error: {m}"),
         other => other.label(),
+    }
+}
+
+/// `profile`'s outcome when the job did not run under it.
+fn not_run(profile: &Profile, outcome: String) -> ProfileOutcome {
+    ProfileOutcome {
+        profile: profile.name.clone(),
+        outcome,
+        stdout: String::new(),
+        stderr: String::new(),
+        stats: String::new(),
+        lint: None,
+        events: None,
     }
 }
 
@@ -61,15 +75,7 @@ pub fn execute_job<C: Capability>(
         let unit = match cache.get_or_compile::<C>(&spec.source, p) {
             Ok(unit) => unit,
             Err(e) => {
-                profiles.push(ProfileOutcome {
-                    profile: p.name.clone(),
-                    outcome: format!("error: {e}"),
-                    stdout: String::new(),
-                    stderr: String::new(),
-                    stats: String::new(),
-                    lint: None,
-                    events: None,
-                });
+                profiles.push(not_run(p, format!("error: {e}")));
                 continue;
             }
         };
@@ -184,9 +190,43 @@ pub fn execute_job<C: Capability>(
     }
 }
 
-/// The worker loop: claim the next job, execute it, send the indexed
-/// result. Ends when the job queue closes (service drop) or the result
-/// channel closes (collector dropped early).
+/// Run job `spec` through `run` on the worker's `arena`, so that a panic
+/// ends the job and not the worker: every profile of the job then reads
+/// `error: internal error: <panic message>`, and the arena, which the
+/// panic may have left half-updated, is dropped.
+pub(crate) fn guarded<C: Capability>(
+    spec: &JobSpec,
+    arena: &mut Option<CheriMemory<C>>,
+    run: impl FnOnce(&mut Option<CheriMemory<C>>) -> JobOutput,
+) -> JobOutput {
+    let start = Instant::now();
+    let payload = match panic::catch_unwind(AssertUnwindSafe(|| run(arena))) {
+        Ok(out) => return out,
+        Err(payload) => payload,
+    };
+    *arena = None;
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("panic");
+    let outcome = format!("error: internal error: {message}");
+    JobOutput {
+        id: spec.id.clone(),
+        mode: spec.mode,
+        profiles: spec
+            .profiles
+            .iter()
+            .map(|p| not_run(p, outcome.clone()))
+            .collect(),
+        trace_diff: None,
+        exec_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+    }
+}
+
+/// The worker loop: claim the next job, execute it under [`guarded`],
+/// send the indexed result. Ends when the job queue closes (service drop)
+/// or the result channel closes (collector dropped early).
 fn worker_loop<C: Capability>(
     cache: &ProgramCache,
     jobs: &Mutex<mpsc::Receiver<(u64, JobSpec)>>,
@@ -197,7 +237,9 @@ fn worker_loop<C: Capability>(
         // Hold the queue lock only for the blocking receive, not the job.
         let claimed = jobs.lock().unwrap().recv();
         let Ok((idx, spec)) = claimed else { break };
-        let out = execute_job::<C>(cache, &spec, &mut arena);
+        let out = guarded(&spec, &mut arena, |arena| {
+            execute_job::<C>(cache, &spec, arena)
+        });
         if results.send((idx, out)).is_err() {
             break;
         }
@@ -286,7 +328,7 @@ impl<C: Capability + Send + 'static> Service<C> {
     ///
     /// # Panics
     ///
-    /// Panics if the worker pool has died (a worker panicked).
+    /// Panics if the worker pool has died.
     pub fn submit(&mut self, spec: JobSpec) -> u64 {
         let idx = self.submitted;
         self.job_tx

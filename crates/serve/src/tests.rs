@@ -6,13 +6,13 @@
 use std::sync::Arc;
 
 use cheri_core::{CheriotCap, MorelloCap, Outcome, Profile, RunResult};
-use cheri_mem::{MemEvent, MemStats};
+use cheri_mem::{CheriMemory, MemEvent, MemStats};
 
 use crate::cache::{CompileKey, ProgramCache};
 use crate::job::{
     fast_variant, parse_job_line, profiles_from_spec, JobOutput, JobSpec, Mode, ProfileOutcome,
 };
-use crate::service::{execute_job, outcome_string, run_batch, Service};
+use crate::service::{execute_job, guarded, outcome_string, run_batch, Service};
 
 fn job(id: &str, src: &str, profiles: Vec<Profile>, mode: Mode) -> JobSpec {
     JobSpec {
@@ -215,6 +215,42 @@ fn one_worker_batch_survives_an_unfoldable_constant() {
         "{}",
         rendered[1]
     );
+}
+
+/// A job that panics ends in an internal error under each of its
+/// profiles, so the batch exits 1; the worker drops its arena, which the
+/// panic may have left half-updated, and runs the next job as usual.
+#[test]
+fn a_panicking_job_is_an_internal_error_and_the_worker_carries_on() {
+    let cache = ProgramCache::new();
+    let spec = job(
+        "j",
+        OK_PROGRAM,
+        vec![Profile::cerberus(), Profile::clang_morello(true)],
+        Mode::Run,
+    );
+    let mut arena: Option<CheriMemory<MorelloCap>> = None;
+    let run = |arena: &mut Option<CheriMemory<MorelloCap>>| {
+        guarded(&spec, arena, |a| execute_job(&cache, &spec, a))
+    };
+    run(&mut arena);
+    assert!(arena.is_some(), "a run leaves the worker an arena");
+
+    let out = guarded(&spec, &mut arena, |_| panic!("slot {} out of range", 3));
+    assert!(arena.is_none(), "the interrupted run's arena is dropped");
+    assert!(out.has_error());
+    assert_eq!(out.id, "j");
+    let names: Vec<&str> = out.profiles.iter().map(|p| p.profile.as_str()).collect();
+    assert_eq!(names, ["cerberus", "clang-morello-O3"]);
+    for p in &out.profiles {
+        assert_eq!(p.outcome, "error: internal error: slot 3 out of range");
+        assert!(p.stdout.is_empty() && p.stats.is_empty() && p.events.is_none());
+    }
+
+    let out = run(&mut arena);
+    assert!(!out.has_error());
+    assert!(out.profiles.iter().all(|p| p.outcome == "exit(42)"));
+    assert!(arena.is_some());
 }
 
 /// `void *` arithmetic and a flexible array member come back as front-end

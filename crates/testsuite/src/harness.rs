@@ -1,12 +1,11 @@
 //! Suite runner: executes every test under every implementation profile and
 //! aggregates the results into the paper's Table 1 and §5 summary.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use cheri_core::{run, Profile};
 
-use crate::{all_tests, Category, TestCase};
+use crate::{all_tests, Category};
 
 /// Result of one test under one profile.
 #[derive(Clone, Debug)]
@@ -67,18 +66,6 @@ pub fn run_suite(profiles: &[Profile]) -> SuiteReport {
         tests: reports,
         profiles: profiles.iter().map(|p| p.name.clone()).collect(),
     }
-}
-
-/// Per-category test counts of the suite (the right column of Table 1).
-#[must_use]
-pub fn category_counts() -> BTreeMap<&'static str, (usize, usize)> {
-    let tests = all_tests();
-    let mut out = BTreeMap::new();
-    for (cat, desc, expected) in Category::TABLE1 {
-        let n = tests.iter().filter(|t| t.cats.contains(cat)).count();
-        out.insert(*desc, (n, *expected));
-    }
-    out
 }
 
 /// Render Table 1: the category descriptions with the number of covering
@@ -169,10 +156,4 @@ pub fn divergences(report: &SuiteReport, profile: &str) -> Vec<(&'static str, St
         .filter(|t| !t.cells[idx].matched)
         .map(|t| (t.id, t.cells[idx].observed.clone()))
         .collect()
-}
-
-/// Look up a test case by id.
-#[must_use]
-pub fn find_test(id: &str) -> Option<TestCase> {
-    all_tests().into_iter().find(|t| t.id == id)
 }

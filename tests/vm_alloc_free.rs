@@ -25,12 +25,18 @@
 //! most 1.25 host allocations each for the local (its buffer, plus the
 //! amortised growth of the memory's tables) and 5.25 for the call (the
 //! frame's vectors and the two parameters' buffers).
+//!
+//! A third gate covers the `-O3` pass, which edits the typed program in
+//! place: on a left-nested sum `x + x + … + x`, where nothing folds, it
+//! makes as many host allocations at `N` terms as at `2N`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use cheri_c::core::{compile_for, ir, Engine, Interp, Outcome, Profile};
+use cheri_c::core::{
+    compile_for, front_end, ir, opt, ptr_size_for, Engine, Interp, OptFlags, Outcome, Profile,
+};
 use cheri_cap::MorelloCap;
 
 /// The system allocator, counting this thread's allocations.
@@ -312,4 +318,39 @@ fn tree_engine_allocates_no_more_per_iteration_than_the_vm() {
             );
         }
     }
+}
+
+/// Host allocations `opt::optimize` makes on an `-O3` sum of `terms`
+/// terms. The front end recurses once per term, so unoptimised builds
+/// run it on a large stack.
+fn o3_sum_allocs(terms: usize) -> u64 {
+    let sum = vec!["x"; terms].join(" + ");
+    let src = format!("int main(void) {{ int x = 1; return {sum}; }}");
+    let ptr_size = ptr_size_for::<MorelloCap>(&Profile::clang_morello(true));
+    let count = move || {
+        let prog = front_end(&src, ptr_size).expect("program compiles");
+        let before = allocs_so_far();
+        let optimized = opt::optimize(prog, &OptFlags::o3());
+        let allocs = allocs_so_far() - before;
+        drop(optimized);
+        allocs
+    };
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(count)
+        .expect("spawn the compile thread")
+        .join()
+        .expect("the compile thread ends")
+}
+
+#[test]
+fn o3_pass_allocates_nothing_per_term() {
+    const N: usize = 200;
+    let [short, long] = [N, 2 * N].map(o3_sum_allocs);
+    assert_eq!(
+        long,
+        short,
+        "opt::optimize: {short} host allocations on a {N}-term sum, {long} on {}",
+        2 * N
+    );
 }
