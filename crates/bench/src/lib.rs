@@ -9,18 +9,12 @@
 //! * `oracle_fuzz` — §7's test-oracle fuzzing over the `progen` corpus.
 //!
 //! `corpus_manifest` writes that corpus out as `cheri-c --batch`
-//! manifests, and `bench_pr7`–`bench_pr10` are wall-clock perf gates, each
-//! writing a `BENCH_pr*.json` record.
-//!
-//! Criterion benches (`cargo bench`) characterise the reconstruction:
-//! capability encode/decode and representability checks, memory-model
-//! load/store throughput (CHERI vs the ISO baseline), and end-to-end
-//! interpretation of the paper's §3 example programs.
+//! manifests. Every speed figure comes from the `perf` benchmark, its own
+//! package under `src/bin/perf` (see `BENCHMARK.json`); the
+//! `BENCH_pr*.json` files at the repository root are the records of
+//! per-PR timing binaries that it replaced.
 
 #![forbid(unsafe_code)]
 
 pub mod corpus;
 pub mod progen;
-
-/// Workload sizes shared between benches so results are comparable.
-pub const MEM_OPS: usize = 4096;

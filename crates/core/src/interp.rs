@@ -14,6 +14,7 @@ use cheri_mem::{AllocClass, CheriMemory, IntVal, MemError, MemEvent, Provenance,
 
 use crate::ast::{BinOp, UnOp};
 use crate::lex::Pos;
+use crate::printf::{self, Spec};
 use crate::profile::Profile;
 use crate::report::{Outcome, RunResult, STEP_LIMIT};
 use crate::tast::*;
@@ -1925,15 +1926,27 @@ impl<'p, C: Capability> Interp<'p, C> {
     /// [`Interp::read_c_string`] after the bytes already in the buffer:
     /// one bounds-checked byte load per character, terminator included.
     fn append_c_string(&mut self, p: &PtrVal<C>) -> EResult<usize> {
-        for i in 0..65536i64 {
+        let start = self.cstr.len();
+        if self.append_c_string_upto(p, 65536)? {
+            Ok(self.cstr.len() - start)
+        } else {
+            Err(Stop::Limit("unterminated string".into()))
+        }
+    }
+
+    /// Append at most `max` bytes of the C string at `p` to the buffer,
+    /// loading no byte past the `max`-th (`printf`'s `%.Ns`). Whether it
+    /// reached the terminator.
+    fn append_c_string_upto(&mut self, p: &PtrVal<C>, max: usize) -> EResult<bool> {
+        for i in 0..max as i64 {
             let q = self.mem.array_shift(p, 1, i)?;
             let b = self.mem.load_int(&q, 1, false, false)?.value() as u8;
             if b == 0 {
-                return Ok(i as usize);
+                return Ok(true);
             }
             self.cstr.push(b);
         }
-        Err(Stop::Limit("unterminated string".into()))
+        Ok(false)
     }
 
     /// Render a capability-carrying value in the Appendix A format. The
@@ -1959,101 +1972,89 @@ impl<'p, C: Capability> Interp<'p, C> {
         }
     }
 
-    /// Minimal printf-style formatting.
+    /// `printf`'s formatting (C11 7.21.6.1) of `fmt` with `args`: the
+    /// conversions `d i u o x X c s f F e E g G p %` with the flags,
+    /// width, precision and length modifiers [`Spec::parse`] reads. A
+    /// conversion without its argument prints nothing; any other
+    /// conversion stops the run as unsupported.
     fn format(&mut self, fmt: &str, args: &[Value<C>]) -> EResult<String> {
         let mut out = String::new();
-        let mut it = fmt.chars();
-        let mut arg_i = 0;
-        let next = |i: &mut usize| -> Option<&Value<C>> {
-            let v = args.get(*i);
-            *i += 1;
-            v
-        };
-        while let Some(c) = it.next() {
-            if c != '%' {
-                out.push(c);
+        let bytes = fmt.as_bytes();
+        let mut args = args.iter();
+        let mut at = 0;
+        while let Some(off) = bytes[at..].iter().position(|&b| b == b'%') {
+            out.push_str(&fmt[at..at + off]);
+            at += off + 1;
+            let star = || match args.next() {
+                Some(Value::Int { v, .. }) => v.value(),
+                _ => 0,
+            };
+            let spec = Spec::parse(bytes, &mut at, star);
+            if spec.field() > printf::MAX_FIELD {
+                return Err(Stop::Limit(format!(
+                    "printf field of {} bytes (at most {})",
+                    spec.field(),
+                    printf::MAX_FIELD
+                )));
+            }
+            let Some(&conv) = bytes.get(at) else {
+                return Err(Stop::Unsupported(
+                    "printf format ends inside a conversion".into(),
+                ));
+            };
+            at += 1;
+            if conv == b'%' {
+                out.push('%');
                 continue;
             }
-            // Skip flags/width and length modifiers.
-            let mut conv = None;
-            for c in it.by_ref() {
-                match c {
-                    'd' | 'i' | 'u' | 'x' | 'X' | 'p' | 's' | 'c' | '%' | 'f' | 'g' | 'e' => {
-                        conv = Some(c);
-                        break;
-                    }
-                    '0'..='9' | '-' | '+' | ' ' | '#' | '.' | 'l' | 'z' | 'h' | 'j' | 't' => {}
-                    other => {
-                        conv = Some(other);
-                        break;
-                    }
-                }
+            if !b"diuoxXcsfFeEgGp".contains(&conv) {
+                let c = fmt[at - 1..].chars().next().unwrap_or('?');
+                return Err(Stop::Unsupported(format!(
+                    "unsupported printf conversion `%{c}`"
+                )));
             }
+            let Some(v) = args.next() else { continue };
             match conv {
-                Some('%') => out.push('%'),
-                Some('d' | 'i') => {
-                    if let Some(v) = next(&mut arg_i) {
-                        out.push_str(&v.as_int().map(IntVal::value).unwrap_or(0).to_string());
-                    }
+                b'd' | b'i' | b'o' | b'u' | b'x' | b'X' => {
+                    let (n, ity) = match v {
+                        Value::Int { ity, v } => (v.value(), Some(*ity)),
+                        _ => (0, None),
+                    };
+                    spec.int(&mut out, conv, n, ity);
                 }
-                Some('u') => {
-                    if let Some(v) = next(&mut arg_i) {
-                        let n = v.as_int().map(IntVal::value).unwrap_or(0);
-                        out.push_str(&(n as u64).to_string());
-                    }
+                b'f' | b'F' | b'e' | b'E' | b'g' | b'G' => {
+                    spec.float(&mut out, conv, v.as_float().unwrap_or(0.0));
                 }
-                Some('x') => {
-                    if let Some(v) = next(&mut arg_i) {
-                        let n = v.as_int().map(IntVal::value).unwrap_or(0);
-                        out.push_str(&format!("{:x}", n as u64));
-                    }
+                b'c' => {
+                    let n = v.as_int().map(IntVal::value).unwrap_or(0) as u8;
+                    spec.pad(&mut out, "", (n as char).encode_utf8(&mut [0; 4]), 1, false);
                 }
-                Some('X') => {
-                    if let Some(v) = next(&mut arg_i) {
-                        let n = v.as_int().map(IntVal::value).unwrap_or(0);
-                        out.push_str(&format!("{:X}", n as u64));
-                    }
-                }
-                Some('p') => {
-                    if let Some(v) = next(&mut arg_i) {
-                        match v {
-                            Value::Ptr(v) => out.push_str(&format!("{:#x}", v.addr())),
-                            Value::Int { v, .. } => {
-                                out.push_str(&format!("{:#x}", v.value() as u64));
-                            }
-                            Value::Float { .. } | Value::Void => out.push_str("0x0"),
+                b's' => {
+                    let Some(p) = v.as_ptr() else { continue };
+                    match spec.prec {
+                        Some(max) => {
+                            self.cstr.clear();
+                            self.append_c_string_upto(p, max)?;
                         }
-                    }
-                }
-                Some('f') => {
-                    if let Some(v) = next(&mut arg_i) {
-                        let f = v.as_float().unwrap_or(0.0);
-                        out.push_str(&format!("{f:.6}"));
-                    }
-                }
-                Some('g' | 'e') => {
-                    if let Some(v) = next(&mut arg_i) {
-                        let f = v.as_float().unwrap_or(0.0);
-                        out.push_str(&format!("{f}"));
-                    }
-                }
-                Some('c') => {
-                    if let Some(v) = next(&mut arg_i) {
-                        let n = v.as_int().map(IntVal::value).unwrap_or(0) as u8;
-                        out.push(n as char);
-                    }
-                }
-                Some('s') => {
-                    if let Some(v) = next(&mut arg_i) {
-                        if let Some(p) = v.as_ptr() {
+                        None => {
                             self.read_c_string(p)?;
-                            out.push_str(&String::from_utf8_lossy(&self.cstr));
                         }
                     }
+                    let text = String::from_utf8_lossy(&self.cstr);
+                    spec.pad(&mut out, "", &text, self.cstr.len(), false);
                 }
-                _ => out.push('%'),
+                _ => {
+                    let addr = match v {
+                        Value::Ptr(v) => v.addr(),
+                        Value::Int { v, .. } => v.value() as u64,
+                        Value::Float { .. } | Value::Void => 0,
+                    };
+                    let text = format!("{addr:#x}");
+                    spec.pad(&mut out, "", &text, text.len(), false);
+                }
             }
         }
+        out.push_str(&fmt[at..]);
         Ok(out)
     }
 }

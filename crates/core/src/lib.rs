@@ -34,6 +34,7 @@ pub mod ir;
 pub mod lex;
 pub mod opt;
 pub mod parse;
+mod printf;
 pub mod profile;
 pub mod report;
 pub mod tast;

@@ -465,7 +465,7 @@ pub struct TProgram {
     pub streams: Vec<&'static str>,
     /// Functions by name, in name order: the order in which both engines
     /// give functions their addresses and the lowering numbers them.
-    pub funcs: std::collections::BTreeMap<String, TFunc>,
+    pub funcs: std::collections::BTreeMap<String, Box<TFunc>>,
 }
 
 impl TExpr {

@@ -1478,3 +1478,166 @@ fn accesses_that_end_at_the_top_of_the_address_space() {
         }
     }
 }
+
+// ── Workload programs ────────────────────────────────────────────────────
+
+/// The programs the retired timing binaries ran, each asserting its own
+/// answer: malloc churn with array sums, a tight arithmetic loop, array
+/// sums, pointer walks through `uintptr_t` and an in-loop `malloc`.
+const WORKLOAD_PROGRAMS: [(&str, &str); 5] = [
+    (
+        "churn",
+        "int main(void) {\n  long acc = 0;\n  for (int i = 0; i < 64; i++) {\n    \
+         int *p = malloc(128 * sizeof(int));\n    for (int j = 0; j < 128; j++) p[j] = j ^ i;\n    \
+         for (int j = 0; j < 128; j++) acc += p[j];\n    free(p);\n  }\n  \
+         return acc > 0 ? 0 : 1;\n}",
+    ),
+    (
+        "dispatch",
+        "int main(void) {\n  long s = 0;\n  for (int i = 0; i < 20000; i++) {\n    \
+         s += (i * 3) ^ (s & 7);\n    s -= i >> 2;\n  }\n  return s != 0 ? 0 : 1;\n}",
+    ),
+    (
+        "sum_loop",
+        "int main(void) {\n  int a[64];\n  for (int i = 0; i < 64; i++) a[i] = i;\n  \
+         int s = 0;\n  for (int round = 0; round < 50; round++)\n    \
+         for (int i = 0; i < 64; i++)\n      s += a[i];\n  return s == 50 * 2016 ? 0 : 1;\n}",
+    ),
+    (
+        "uintptr_churn",
+        "#include <stdint.h>\nint main(void) {\n  int a[32];\n  for (int i = 0; i < 32; i++) a[i] = i;\n  \
+         uintptr_t base = (uintptr_t)a;\n  int s = 0;\n  for (int round = 0; round < 50; round++) {\n    \
+         for (int i = 0; i < 32; i++) {\n      uintptr_t u = base + i * sizeof(int);\n      \
+         int *p = (int*)u;\n      s += *p;\n    }\n  }\n  return s == 50 * 496 ? 0 : 1;\n}",
+    ),
+    (
+        "malloc_churn",
+        "int main(void) {\n  for (int i = 0; i < 100; i++) {\n    int *p = malloc(32 * sizeof(int));\n    \
+         for (int j = 0; j < 32; j++) p[j] = j;\n    free(p);\n  }\n  return 0;\n}",
+    ),
+];
+
+/// Every workload program computes its expected answer on the tree
+/// engine, the VM and `--fast`, under the reference semantics, a hardware
+/// profile at -O0 and at -O3, and the ISO baseline.
+#[test]
+fn workload_programs_exit_zero_on_every_engine() {
+    use crate::{run_with_engine, Engine, MorelloCap};
+    for profile in [
+        Profile::cerberus(),
+        Profile::clang_morello(false),
+        Profile::gcc_morello(true),
+        Profile::iso_baseline(),
+    ] {
+        let mut fast = profile.clone();
+        fast.opt = fast.opt.fast();
+        for (prog, src) in WORKLOAD_PROGRAMS {
+            for (how, p, engine) in [
+                ("tree", &profile, Engine::Tree),
+                ("vm", &profile, Engine::Bytecode),
+                ("fast", &fast, Engine::Bytecode),
+            ] {
+                let r = run_with_engine::<MorelloCap>(src, p, engine);
+                assert_eq!(
+                    r.outcome,
+                    Outcome::Exit(0),
+                    "{prog} under {} {how}",
+                    profile.name
+                );
+            }
+        }
+    }
+}
+
+// ── printf ───────────────────────────────────────────────────────────────
+
+/// `printf`'s flags, widths, precisions and length modifiers (C11
+/// 7.21.6.1); the expected text is what gcc 12.2 with glibc prints.
+const PRINTF_FORMS: &str = r#"
+int main(void) {
+  printf("[%5d|%-5d|%05d|%+d|% d|%.3d|%*d]\n", 42, 42, 42, 42, 42, 7, 4, 9);
+  printf("[%u|%x|%X|%o|%#x|%#o]\n", -1, -1, 255, 8, 255, 8);
+  printf("[%hhu|%hu|%hhd|%hd|%lu|%lx|%ld]\n", 300, 70000, 200, 40000, -1L, -1L, -3L);
+  printf("[%.2f|%8.3f|%-8.1f|%f|%e|%.3e|%E]\n", 3.14159, 2.5, 2.5, 2.5, 1234.5, 0.000123456, 1234.5);
+  printf("[%g|%g|%g|%g|%g|%.3g|%G]\n", 0.25, 1e20, 1234567.0, 0.0001, 100000.0, 3.14159, 1e-10);
+  printf("[%.2s|%5s|%-5s|%c|%3c|%%]\n", "hello", "ab", "ab", 'x', 'y');
+  printf("[%o %d]\n", 8, 5);
+  return 0;
+}"#;
+
+const PRINTF_EXPECTED: &str = "[   42|42   |00042|+42| 42|007|   9]\n\
+[4294967295|ffffffff|FF|10|0xff|010]\n\
+[44|4464|-56|-25536|18446744073709551615|ffffffffffffffff|-3]\n\
+[3.14|   2.500|2.5     |2.500000|1.234500e+03|1.235e-04|1.234500E+03]\n\
+[0.25|1e+20|1.23457e+06|0.0001|100000|3.14|1E-10]\n\
+[he|   ab|ab   |x|  y|%]\n\
+[10 5]\n";
+
+#[test]
+fn printf_follows_the_c_conversion_specification() {
+    use crate::{run_with_engine, Engine, MorelloCap};
+    for profile in [Profile::cerberus(), Profile::clang_morello(false)] {
+        let mut fast = profile.clone();
+        fast.opt = fast.opt.fast();
+        for (how, p, engine) in [
+            ("tree", &profile, Engine::Tree),
+            ("vm", &profile, Engine::Bytecode),
+            ("fast", &fast, Engine::Bytecode),
+        ] {
+            let r = run_with_engine::<MorelloCap>(PRINTF_FORMS, p, engine);
+            assert_eq!(r.outcome, Outcome::Exit(0), "{} {how}", profile.name);
+            assert_eq!(r.stdout, PRINTF_EXPECTED, "{} {how}", profile.name);
+        }
+    }
+}
+
+/// `%.Ns` loads no byte past the N-th, so it prints the start of an
+/// array with no terminator; a conversion outside the supported set stops
+/// the run and names itself.
+#[test]
+fn printf_precision_bounds_the_string_read_and_unknown_conversions_stop() {
+    let r = run_ref(
+        r#"int main(void) { char s[3] = {'a', 'b', 'c'}; printf("%.3s|%.*s\n", s, 2, s); return 0; }"#,
+    );
+    assert_eq!(r.outcome, Outcome::Exit(0));
+    assert_eq!(r.stdout, "abc|ab\n");
+    for (conv, src) in [
+        (
+            "%n",
+            r#"int main(void) { int n; printf("x%n", &n); return 0; }"#,
+        ),
+        ("%a", r#"int main(void) { printf("%a", 1.0); return 0; }"#),
+    ] {
+        match run_ref(src).outcome {
+            Outcome::Error(m) => assert!(m.contains(&format!("`{conv}`")), "{conv}: {m}"),
+            other => panic!("{conv}: {other}"),
+        }
+    }
+}
+
+// ── Library pointer arguments ────────────────────────────────────────────
+
+/// A library builtin's pointer parameter takes a null pointer constant
+/// (`free(0)`, `realloc(0, n)`), as a user function's `void *` parameter
+/// does, but no other integer.
+#[test]
+fn only_a_null_pointer_constant_is_a_builtin_pointer_argument() {
+    for src in [
+        "int main(void) { free(1); return 0; }",
+        "int main(void) { return (int)strlen(7); }",
+        "int main(void) { char d[4]; memcpy(d, 2, 4); return 0; }",
+    ] {
+        match crate::front_end(src, 16) {
+            Err(e) => assert!(
+                e.starts_with("type error at ")
+                    && e.contains("implicit conversion from int to void*"),
+                "{src}: {e}"
+            ),
+            Ok(_) => panic!("{src}: accepted"),
+        }
+    }
+    expect_exit(
+        "int main(void) { free(0); int *q = realloc(0, 8); q[1] = 5; return q[1]; }",
+        5,
+    );
+}

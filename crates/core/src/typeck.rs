@@ -259,7 +259,7 @@ impl Checker {
                 Item::Func(f) => {
                     if let Some(body) = f.body {
                         let tf = self.function(&f.name, f.ret, f.params, f.variadic, body, f.pos)?;
-                        funcs.insert(f.name.clone(), tf);
+                        funcs.insert(f.name.clone(), Box::new(tf));
                     }
                 }
             }
@@ -1384,6 +1384,21 @@ impl Checker {
         Ok(out)
     }
 
+    /// Convert each argument at `positions` that is not a pointer to
+    /// `void *`, as a user function's `void *` parameter would: a null
+    /// pointer constant or a capability-carrying integer passes (so
+    /// `free(0)` and `realloc(0, n)` are C11 7.22.3.3p2 and 7.22.3.5p3),
+    /// any other value is an error. Pointer arguments stay as they are.
+    fn pointer_args(&mut self, targs: &mut Vec<TExpr>, positions: &[usize]) -> TResult<()> {
+        for &i in positions {
+            if !targs[i].ty.is_ptr() {
+                let a = targs.remove(i);
+                targs.insert(i, self.convert(a, &Ty::ptr(Ty::Void), false)?);
+            }
+        }
+        Ok(())
+    }
+
     fn builtin_call(&mut self, b: Builtin, args: Vec<Expr>, pos: Pos) -> TResult<TExpr> {
         use Builtin::*;
         let mut targs = Vec::new();
@@ -1445,45 +1460,50 @@ impl Checker {
             }
             Free => {
                 need(1)?;
-                if !targs[0].ty.is_ptr() {
-                    return err(pos, "free expects a pointer");
-                }
+                self.pointer_args(&mut targs, &[0])?;
                 Ty::Void
             }
             Realloc => {
                 need(2)?;
+                self.pointer_args(&mut targs, &[0])?;
                 let n = targs.pop().expect("two args");
                 targs.push(self.convert(n, &Ty::Int(IntTy::ULong), false)?);
                 Ty::ptr(Ty::Void)
             }
             Memcpy | Memmove => {
                 need(3)?;
+                self.pointer_args(&mut targs, &[0, 1])?;
                 let n = targs.pop().expect("three args");
                 targs.push(self.convert(n, &Ty::Int(IntTy::ULong), false)?);
                 Ty::ptr(Ty::Void)
             }
             Memset => {
                 need(3)?;
+                self.pointer_args(&mut targs, &[0])?;
                 let n = targs.pop().expect("three args");
                 targs.push(self.convert(n, &Ty::Int(IntTy::ULong), false)?);
                 Ty::ptr(Ty::Void)
             }
             Memcmp => {
                 need(3)?;
+                self.pointer_args(&mut targs, &[0, 1])?;
                 let n = targs.pop().expect("three args");
                 targs.push(self.convert(n, &Ty::Int(IntTy::ULong), false)?);
                 Ty::int()
             }
             Strlen => {
                 need(1)?;
+                self.pointer_args(&mut targs, &[0])?;
                 Ty::Int(IntTy::ULong)
             }
             Strcmp => {
                 need(2)?;
+                self.pointer_args(&mut targs, &[0, 1])?;
                 Ty::int()
             }
             Strcpy => {
                 need(2)?;
+                self.pointer_args(&mut targs, &[0, 1])?;
                 Ty::ptr(Ty::Int(IntTy::Char))
             }
             PrintCap => {

@@ -1,284 +1,9 @@
-//! A micro-benchmark timing harness with a criterion-shaped API.
+//! Re-export of [`std::hint::black_box`].
 //!
-//! Deliberately small: wall-clock timing via `std::time::Instant`, automatic
-//! iteration-count calibration, and median/mean/min reporting. It exists so
-//! `cargo bench` works hermetically; it does not do outlier analysis or
-//! HTML reports.
-//!
-//! ```no_run
-//! use cheri_qc::bench::{black_box, Bench};
-//!
-//! fn bench_sum(c: &mut Bench) {
-//!     c.bench_function("sum_1k", |b| {
-//!         b.iter(|| (0..1000u64).sum::<u64>())
-//!     });
-//! }
-//!
-//! cheri_qc::bench_group!(benches, bench_sum);
-//! cheri_qc::bench_main!(benches);
-//! ```
-//!
-//! Set `CHERI_QC_BENCH_FAST=1` to run each benchmark for a few milliseconds
-//! only (CI smoke mode: checks the workloads execute, not their timing).
-
-use std::time::{Duration, Instant};
+//! The workspace's one measurement path is the `perf` benchmark package
+//! (`crates/bench/src/bin/perf`), which imports `black_box` from here.
+//! That package changes only together with the benchmark it defines, so
+//! this path stays until such a change imports `std::hint::black_box`
+//! directly; then this module can go.
 
 pub use std::hint::black_box;
-
-/// Per-benchmark measurement settings.
-#[derive(Clone, Copy, Debug)]
-struct Settings {
-    /// Number of timed samples.
-    samples: usize,
-    /// Target wall-clock time per sample.
-    sample_target: Duration,
-    /// Warm-up time before calibration.
-    warm_up: Duration,
-}
-
-impl Settings {
-    fn normal() -> Self {
-        Settings {
-            samples: 20,
-            sample_target: Duration::from_millis(10),
-            warm_up: Duration::from_millis(50),
-        }
-    }
-
-    fn fast() -> Self {
-        Settings {
-            samples: 3,
-            sample_target: Duration::from_micros(200),
-            warm_up: Duration::from_micros(200),
-        }
-    }
-
-    fn current() -> Self {
-        if std::env::var("CHERI_QC_BENCH_FAST").is_ok() {
-            Settings::fast()
-        } else {
-            Settings::normal()
-        }
-    }
-}
-
-/// One benchmark's collected statistics, in nanoseconds per iteration.
-#[derive(Clone, Debug)]
-pub struct Stats {
-    /// Benchmark identifier (`group/name`).
-    pub id: String,
-    /// Median ns/iter.
-    pub median: f64,
-    /// Mean ns/iter.
-    pub mean: f64,
-    /// Fastest sample ns/iter.
-    pub min: f64,
-    /// Iterations per sample used.
-    pub iters_per_sample: u64,
-}
-
-fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.3} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.3} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.3} µs", ns / 1e3)
-    } else {
-        format!("{ns:.1} ns")
-    }
-}
-
-/// The per-benchmark driver handed to the closure: call [`Bencher::iter`]
-/// with the workload.
-pub struct Bencher {
-    settings: Settings,
-    stats: Option<Stats>,
-    id: String,
-}
-
-impl Bencher {
-    /// Time `f`, automatically choosing an iteration count so each sample
-    /// runs for roughly the target duration. The closure's output is passed
-    /// through [`black_box`] so the workload is not optimised away.
-    ///
-    /// Named `iter` for criterion API compatibility, so benches port over
-    /// unchanged — it times iterations rather than returning an iterator.
-    #[allow(clippy::iter_not_returning_iterator)]
-    pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        // Warm up and calibrate.
-        let warm_start = Instant::now();
-        let mut warm_iters: u64 = 0;
-        while warm_start.elapsed() < self.settings.warm_up {
-            black_box(f());
-            warm_iters += 1;
-        }
-        let per_iter = warm_start.elapsed().as_secs_f64() / warm_iters as f64;
-        let iters = ((self.settings.sample_target.as_secs_f64() / per_iter).ceil() as u64).max(1);
-
-        let mut samples: Vec<f64> = Vec::with_capacity(self.settings.samples);
-        for _ in 0..self.settings.samples {
-            let t = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            samples.push(t.elapsed().as_secs_f64() * 1e9 / iters as f64);
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let median = samples[samples.len() / 2];
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        self.stats = Some(Stats {
-            id: self.id.clone(),
-            median,
-            mean,
-            min: samples[0],
-            iters_per_sample: iters,
-        });
-    }
-}
-
-/// The top-level harness (plays the role criterion's `Criterion` did).
-pub struct Bench {
-    settings: Settings,
-    results: Vec<Stats>,
-}
-
-impl Default for Bench {
-    fn default() -> Self {
-        Bench::new()
-    }
-}
-
-impl Bench {
-    /// Create a harness with settings from the environment.
-    #[must_use]
-    pub fn new() -> Self {
-        Bench {
-            settings: Settings::current(),
-            results: Vec::new(),
-        }
-    }
-
-    /// Run one benchmark.
-    pub fn bench_function<S: Into<String>, F: FnMut(&mut Bencher)>(&mut self, id: S, mut f: F) {
-        let id = id.into();
-        let mut b = Bencher {
-            settings: self.settings,
-            stats: None,
-            id: id.clone(),
-        };
-        f(&mut b);
-        let stats = b.stats.unwrap_or(Stats {
-            id,
-            median: 0.0,
-            mean: 0.0,
-            min: 0.0,
-            iters_per_sample: 0,
-        });
-        println!(
-            "{:<44} {:>12}/iter (mean {:>12}, min {:>12}, {} iters/sample)",
-            stats.id,
-            fmt_ns(stats.median),
-            fmt_ns(stats.mean),
-            fmt_ns(stats.min),
-            stats.iters_per_sample
-        );
-        self.results.push(stats);
-    }
-
-    /// Open a named group; benchmark ids become `group/name`.
-    pub fn benchmark_group<S: Into<String>>(&mut self, name: S) -> Group<'_> {
-        Group {
-            bench: self,
-            name: name.into(),
-        }
-    }
-
-    /// All collected statistics.
-    #[must_use]
-    pub fn results(&self) -> &[Stats] {
-        &self.results
-    }
-
-    /// Print the closing summary (called by [`crate::bench_main!`]).
-    pub fn final_summary(&self) {
-        println!("\n{} benchmarks completed", self.results.len());
-    }
-}
-
-/// A benchmark group: a namespace plus (API-compatibility) sample-size
-/// control.
-pub struct Group<'a> {
-    bench: &'a mut Bench,
-    name: String,
-}
-
-impl Group<'_> {
-    /// Run one benchmark inside the group's namespace.
-    pub fn bench_function<S: Into<String>, F: FnMut(&mut Bencher)>(&mut self, id: S, f: F) {
-        let full = format!("{}/{}", self.name, id.into());
-        self.bench.bench_function(full, f);
-    }
-
-    /// Reduce/enlarge the number of timed samples for this group.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.bench.settings.samples = n.max(1);
-        self
-    }
-
-    /// Close the group (restores default sample settings).
-    pub fn finish(self) {
-        self.bench.settings = Settings::current();
-    }
-}
-
-/// Bundle benchmark functions into a group runner, mirroring
-/// `criterion_group!`.
-#[macro_export]
-macro_rules! bench_group {
-    ($name:ident, $($f:path),+ $(,)?) => {
-        pub fn $name(c: &mut $crate::bench::Bench) {
-            $($f(c);)+
-        }
-    };
-}
-
-/// Generate `main` for a `harness = false` bench target, mirroring
-/// `criterion_main!`.
-#[macro_export]
-macro_rules! bench_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            let mut c = $crate::bench::Bench::new();
-            $($group(&mut c);)+
-            c.final_summary();
-        }
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn harness_times_a_workload() {
-        std::env::set_var("CHERI_QC_BENCH_FAST", "1");
-        let mut c = Bench::new();
-        c.bench_function("spin", |b| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for i in 0..100u64 {
-                    acc = acc.wrapping_add(black_box(i));
-                }
-                acc
-            });
-        });
-        let mut g = c.benchmark_group("grp");
-        g.sample_size(2);
-        g.bench_function("inner", |b| b.iter(|| black_box(1u32) + 1));
-        g.finish();
-        assert_eq!(c.results().len(), 2);
-        assert_eq!(c.results()[1].id, "grp/inner");
-        assert!(c.results().iter().all(|s| s.min >= 0.0));
-    }
-}

@@ -4,14 +4,15 @@
 //! semantics can serve as a test oracle for randomly generated programs.
 //! That only means something if the random-testing machinery itself runs
 //! everywhere the semantics does — including fully offline. This crate
-//! provides the three ingredients with **zero external dependencies**:
+//! provides the two ingredients with **zero external dependencies**:
 //!
 //! * [`rng`] — deterministic PRNG ([`rng::SplitMix64`] for seeding,
 //!   xoshiro256++ [`rng::Rng`] for generation) with a `rand`-shaped API;
 //! * [`prop`] — a property-test harness: deterministic case generation,
-//!   seed-pinned replay via `CHERI_QC_SEED`, and input [`prop::Shrink`]ing;
-//! * [`mod@bench`] — a criterion-shaped micro-benchmark timer for
-//!   `harness = false` bench targets.
+//!   seed-pinned replay via `CHERI_QC_SEED`, and input [`prop::Shrink`]ing.
+//!
+//! [`mod@bench`] only re-exports [`std::hint::black_box`] for the `perf`
+//! benchmark package; every speed figure comes from that benchmark.
 //!
 //! Everything is deterministic by construction: no entropy, no wall-clock
 //! input to generation, the same seeds on every platform and every run.

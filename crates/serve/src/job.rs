@@ -137,8 +137,8 @@ pub struct JobOutput {
     pub trace_diff: Option<String>,
     /// Wall-clock execution time of this job on its worker, in
     /// nanoseconds. Scheduling-dependent: excluded from [`render`] and
-    /// from every determinism comparison. (`bench_pr9` reads it for the
-    /// p50/p99 latency columns.)
+    /// from every determinism comparison. (The `perf` benchmark reads it
+    /// for its per-job latency figures.)
     ///
     /// [`render`]: JobOutput::render
     pub exec_ns: u64,

@@ -27,7 +27,7 @@
 //!   `mpsc` channel tagged with submission indices and are re-ordered
 //!   before emission, so the output of a batch is byte-identical whatever
 //!   the worker count — pinned by `tests/batch_determinism.rs` over the
-//!   oracle corpus and by the `bench_pr9` gate.
+//!   oracle corpus and by CI's CLI parity step across worker counts.
 //!
 //! The CLI fronts this with `cheri-c --batch <manifest>` (one job per
 //! manifest line) and `cheri-c --serve` (jobs streamed on stdin, results
